@@ -12,7 +12,6 @@ a path.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 import click
@@ -34,32 +33,10 @@ from .graphs import (
     graph_from_edge_list,
     graph_loads,
 )
-from .homology import (
-    PrimeField,
-    Rationals,
-    boundary_matrix,
-    homology_summary,
-    parse_field,
-    rank_over,
-)
+from .homology import PrimeField, Rationals, homology_summary, parse_field
 from .tsc import build_tsc, c42_fixture
 
 DEFAULT_FIELD_SPEC = "gf:32003"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: command, inputs, field, format, assert flag."""
-
-    command: str
-    inputs: tuple[str, ...] = ()
-    field: str = DEFAULT_FIELD_SPEC
-    fmt: str = "text"
-    assert_verdict: bool = False
-    extra: dict = dc_field(default_factory=dict)
-
-    def field_spec(self):
-        return parse_field(self.field)
 
 
 def _fail_input(message: str):
@@ -89,8 +66,8 @@ def _load_complex(path: str) -> SimplicialComplex:
         _fail_input(f"cannot read complex file {path!r}: {exc}")
 
 
-def _render(payload: dict, text: str, cfg: RunConfig) -> str:
-    if cfg.fmt == "json":
+def _render(payload: dict, text: str, fmt: str) -> str:
+    if fmt == "json":
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     return text if text.endswith("\n") else text + "\n"
 
@@ -151,11 +128,10 @@ def tsc(graph_file, out):
 @click.option("--out", type=str, default=None)
 def fvector(complex_file, fmt, out):
     """Face counts per dimension."""
-    cfg = RunConfig("fvector", (complex_file,), fmt=fmt)
     cx = _load_complex(complex_file)
     alpha = cx.f_vector()
     payload = {"alpha": list(alpha), "dimension": cx.dimension(), "pure": cx.is_pure()}
-    _emit(_render(payload, str(tuple(alpha)), cfg), out)
+    _emit(_render(payload, str(tuple(alpha)), fmt), out)
 
 
 @main.command()
@@ -165,9 +141,8 @@ def fvector(complex_file, fmt, out):
 @click.option("--out", type=str, default=None)
 def homology(complex_file, field_str, fmt, out):
     """Ranks and Betti numbers over a field."""
-    cfg = RunConfig("homology", (complex_file,), field=field_str, fmt=fmt)
     try:
-        field = cfg.field_spec()
+        field = parse_field(field_str)
     except ValueError as exc:
         _fail_input(str(exc))
     cx = _load_complex(complex_file)
@@ -176,7 +151,7 @@ def homology(complex_file, field_str, fmt, out):
         f"field={summary.field} alpha={summary.alpha} rank_im={summary.rank_im} "
         f"betti={summary.betti} reduced={summary.reduced_betti}"
     )
-    _emit(_render(summary.to_json_dict(), text, cfg), out)
+    _emit(_render(summary.to_json_dict(), text, fmt), out)
 
 
 @main.command()
@@ -191,10 +166,8 @@ def homology(complex_file, field_str, fmt, out):
 @click.pass_context
 def check(ctx, kind, complex_file, t, field_str, fmt, assert_verdict, out):
     """Cohen-Macaulay / Buchsbaum / CM_t verdicts with failure witnesses."""
-    cfg = RunConfig("check", (complex_file,), field=field_str, fmt=fmt,
-                    assert_verdict=assert_verdict, extra={"kind": kind, "t": t})
     try:
-        field = cfg.field_spec()
+        field = parse_field(field_str)
     except ValueError as exc:
         _fail_input(str(exc))
     cx = _load_complex(complex_file)
@@ -214,7 +187,7 @@ def check(ctx, kind, complex_file, t, field_str, fmt, assert_verdict, out):
     if report.witness is not None:
         w = report.witness
         text += f" witness(face={w.face}, r={w.r}, betti={w.betti})"
-    _emit(_render(payload, text, cfg), out)
+    _emit(_render(payload, text, fmt), out)
     if assert_verdict and not report.verdict:
         ctx.exit(3)
 
@@ -228,13 +201,12 @@ def check(ctx, kind, complex_file, t, field_str, fmt, assert_verdict, out):
 @click.pass_context
 def covers(ctx, complex_file, fmt, assert_verdict, out):
     """Enumerate all minimal vertex covers."""
-    cfg = RunConfig("covers", (complex_file,), fmt=fmt, assert_verdict=assert_verdict)
     cx = _load_complex(complex_file)
     report = minimal_vertex_covers(cx)
     lines = [f"unmixed={report.unmixed} count={len(report.covers)} "
              f"cardinalities={sorted(set(report.cardinalities))}"]
     lines += ["  {" + ", ".join(map(str, c)) + "}" for c in report.covers]
-    _emit(_render(report.to_json_dict(), "\n".join(lines), cfg), out)
+    _emit(_render(report.to_json_dict(), "\n".join(lines), fmt), out)
     if assert_verdict and not report.unmixed:
         ctx.exit(3)
 
@@ -245,10 +217,11 @@ def covers(ctx, complex_file, fmt, assert_verdict, out):
 @click.option("--out", type=str, default=None)
 def decompose(complex_file, fmt, out):
     """Primary decomposition of the facet ideal (one prime per cover)."""
-    cfg = RunConfig("decompose", (complex_file,), fmt=fmt)
     cx = _load_complex(complex_file)
-    components = facet_ideal_decomposition(cx)
-    _emit(_render(decomposition_to_json_dict(cx), decomposition_text(components), cfg), out)
+    report = minimal_vertex_covers(cx)
+    components = facet_ideal_decomposition(cx, report)
+    _emit(_render(decomposition_to_json_dict(cx, report), decomposition_text(components), fmt),
+          out)
 
 
 # --- friendship-family verification -------------------------------------------
@@ -279,19 +252,16 @@ def friendship_verification_rows(n_max: int) -> tuple[list[dict], bool]:
                           (4 * n ** 3 + 42 * n * n + 14 * n) // 3)
         row: dict = {"n": n, "alpha": _cell(list(cx.f_vector()), list(alpha_expected))}
 
-        d1, d2 = boundary_matrix(cx, 1), boundary_matrix(cx, 2)
-        ranks = {}
-        for name, fld in (("gf", PrimeField(32003)), ("q", Rationals())):
-            ranks[name] = (rank_over(d1, fld), rank_over(d2, fld))
-        row["rank_d1"] = _cell({k: v[0] for k, v in ranks.items()},
+        summaries = {name: homology_summary(cx, fld)
+                     for name, fld in (("gf", PrimeField(32003)), ("q", Rationals()))}
+        row["rank_d1"] = _cell({k: s.rank_im[1] for k, s in summaries.items()},
                                {"gf": 5 * n, "q": 5 * n})
-        row["rank_d2"] = _cell({k: v[1] for k, v in ranks.items()},
+        row["rank_d2"] = _cell({k: s.rank_im[2] for k, s in summaries.items()},
                                {"gf": 10 * n * n, "q": 10 * n * n})
 
         betti_expected = [1, 0, (4 * n ** 3 + 12 * n * n + 14 * n) // 3]
-        betti = {name: list(homology_summary(cx, fld).betti)
-                 for name, fld in (("gf", PrimeField(32003)), ("q", Rationals()))}
-        row["betti"] = _cell(betti, {"gf": betti_expected, "q": betti_expected})
+        row["betti"] = _cell({k: list(s.betti) for k, s in summaries.items()},
+                             {"gf": betti_expected, "q": betti_expected})
 
         report = minimal_vertex_covers(cx)
         at_card = sum(1 for c in report.covers if len(c) == 3 * n + 1)
@@ -342,14 +312,12 @@ def _row_text(row: dict) -> str:
 @click.pass_context
 def verify_friendship(ctx, n_max, fmt, assert_verdict, out):
     """Recompute every friendship-family claim and report PASS/FAIL cells."""
-    cfg = RunConfig("verify-friendship", (), fmt=fmt, assert_verdict=assert_verdict,
-                    extra={"n_max": n_max})
     try:
         rows, all_pass = friendship_verification_rows(n_max)
     except ValueError as exc:
         _fail_input(str(exc))
     payload = {"rows": rows, "all_pass": all_pass}
-    _emit(_render(payload, "\n".join(_row_text(r) for r in rows), cfg), out)
+    _emit(_render(payload, "\n".join(_row_text(r) for r in rows), fmt), out)
     if assert_verdict and not all_pass:
         ctx.exit(3)
 

@@ -183,12 +183,20 @@ def complex_to_json_dict(cx: SimplicialComplex) -> dict:
     return {"n": len(cx.vertices), "facets": [list(f) for f in cx.facets]}
 
 
+def json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer; a bool or a float is refused."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def complex_from_json_dict(data: dict) -> SimplicialComplex:
     try:
-        cx = SimplicialComplex.from_facets(data["facets"])
+        cx = SimplicialComplex.from_facets(
+            [json_int(v, "a vertex") for v in f] for f in data["facets"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed complex JSON: {exc}") from exc
-    if "n" in data and int(data["n"]) != len(cx.vertices):
+    if "n" in data and json_int(data["n"], "n") != len(cx.vertices):
         raise ValueError(
             f"complex JSON claims {data['n']} vertices but facets use {len(cx.vertices)}"
         )

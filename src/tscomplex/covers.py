@@ -98,10 +98,12 @@ def is_unmixed(cx: SimplicialComplex) -> bool:
     return minimal_vertex_covers(cx).unmixed
 
 
-def facet_ideal_decomposition(cx: SimplicialComplex) -> list[PrimeComponent]:
+def facet_ideal_decomposition(cx: SimplicialComplex,
+                              report: CoverReport | None = None) -> list[PrimeComponent]:
     """The minimal primes of the facet ideal, one per minimal vertex cover,
-    in canonical order."""
-    return [PrimeComponent(variables=c) for c in minimal_vertex_covers(cx).covers]
+    in canonical order; ``report`` is the cover report of ``cx`` if known."""
+    report = report or minimal_vertex_covers(cx)
+    return [PrimeComponent(variables=c) for c in report.covers]
 
 
 def stanley_reisner_generators(cx: SimplicialComplex) -> list[Face]:
@@ -142,8 +144,8 @@ def friendship_cover_count(n: int) -> int:
     return 3 ** (n - 2) * (2 * n * n + 19 * n + 9)
 
 
-def decomposition_to_json_dict(cx: SimplicialComplex) -> dict:
-    report = minimal_vertex_covers(cx)
+def decomposition_to_json_dict(cx: SimplicialComplex, report: CoverReport | None = None) -> dict:
+    report = report or minimal_vertex_covers(cx)
     return {
         "components": [list(c) for c in report.covers],
         "unmixed": report.unmixed,

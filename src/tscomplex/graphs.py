@@ -16,6 +16,8 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
+from .complexes import json_int
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -222,7 +224,8 @@ def graph_to_json_dict(g: Graph, labeling: TotalLabeling | None = None) -> dict:
 
 def graph_from_json_dict(data: dict) -> tuple[Graph, TotalLabeling]:
     try:
-        g = graph_from_edge_list(int(data["m"]), data["edges"])
+        g = graph_from_edge_list(json_int(data["m"], "m"),
+                                 [[json_int(v, "an edge end") for v in e] for e in data["edges"]])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from exc
     labels = data.get("labels")
@@ -230,11 +233,14 @@ def graph_from_json_dict(data: dict) -> tuple[Graph, TotalLabeling]:
         return g, default_labeling(g)
     try:
         labeling = TotalLabeling(
-            vertex_labels=tuple(int(labels[f"v{i}"]) for i in range(1, g.m + 1)),
-            edge_labels=tuple(int(labels[f"e{k}"]) for k in range(1, g.edge_count + 1)),
+            vertex_labels=tuple(json_int(labels[f"v{i}"], "a label") for i in range(1, g.m + 1)),
+            edge_labels=tuple(json_int(labels[f"e{k}"], "a label")
+                              for k in range(1, g.edge_count + 1)),
         )
     except KeyError as exc:
         raise ValueError(f"graph JSON labels incomplete: missing {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"malformed graph JSON labels: {exc}") from exc
     return g, labeling
 
 

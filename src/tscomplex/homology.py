@@ -4,17 +4,21 @@ The boundary of an r-face drops one vertex at a time with alternating signs,
 positions taken in ascending vertex order; bases are the canonical face
 orders of the complex, so matrices are identical across runs.
 
-Ranks are computed exactly: fraction-free (Bareiss) elimination over the
-rationals, straightforward modular elimination over a prime field.  The
-default working field is GF(32003); the rationals serve as the independent
-verification route.
+Matrices are sparse columns, one ``{row: entry}`` dict per face, and one
+exact kernel ranks them over every field by column reduction on the lowest
+row (Kaczynski, Mischaikow & Mrozek, *Computational Homology*, 2004).  Over
+GF(p) it works with Python ints mod p, so no prime overflows it; over the
+rationals entries stay ints until a pivot other than +-1 makes fractions.
+The default working field is GF(32003); the rationals serve as the
+independent verification route.  numpy is imported only by the dense view
+``BoundaryMatrix.data``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from fractions import Fraction
+from functools import cached_property
 
 from .complexes import Face, SimplicialComplex
 
@@ -30,24 +34,30 @@ class Rationals:
         return "q"
 
 
+#: Miller-Rabin with these bases decides primality exactly for p < 2^64.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p < 2 or any(p % a == 0 for a in _BASES):
+        return p in _BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    for a in _BASES:
+        powers = [pow(a, (p - 1) >> (s - k), p) for k in range(s)]  # a^d, a^2d, ...
+        if powers[0] != 1 and p - 1 not in powers:
             return False
-        d += 1
     return True
 
 
 @dataclass(frozen=True)
 class PrimeField:
-    """The finite field GF(p) for prime p."""
+    """The finite field GF(p) for prime p < 2^64."""
 
     p: int
 
     def __post_init__(self):
+        if self.p >= 1 << 64:
+            raise ValueError(f"{self.p} is too large: primes must be below 2^64")
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
@@ -81,17 +91,33 @@ def parse_field(spec: str) -> FieldSpec:
 class BoundaryMatrix:
     """Matrix of the r-th boundary map over the canonical face bases.
 
-    Rows are the (r-1)-faces, columns the r-faces; entries lie in {-1, 0, +1}.
+    Rows are the (r-1)-faces, columns the r-faces; ``columns[j]`` maps the
+    row index of each nonzero entry of column j to its sign, +1 or -1.
     """
 
     r: int
     rows: tuple[Face, ...]
     cols: tuple[Face, ...]
-    data: np.ndarray
+    columns: tuple[dict[int, int], ...]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.data.shape
+        return len(self.rows), len(self.cols)
+
+    @property
+    def size(self) -> int:
+        return len(self.rows) * len(self.cols)
+
+    @cached_property
+    def data(self):
+        """Dense read-only int64 view (numpy)."""
+        import numpy as np
+
+        mat = np.zeros(self.shape, dtype=np.int64)
+        for j, col in enumerate(self.columns):
+            mat[list(col), j] = list(col.values())
+        mat.flags.writeable = False
+        return mat
 
 
 def boundary_matrix(cx: SimplicialComplex, r: int) -> BoundaryMatrix:
@@ -101,89 +127,69 @@ def boundary_matrix(cx: SimplicialComplex, r: int) -> BoundaryMatrix:
     rows = tuple(cx.faces(r - 1))
     cols = tuple(cx.faces(r))
     row_index = {face: i for i, face in enumerate(rows)}
-    mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for j, face in enumerate(cols):
-        for pos in range(len(face)):
-            sub = face[:pos] + face[pos + 1:]
-            mat[row_index[sub], j] = -1 if pos % 2 else 1
-    mat.flags.writeable = False
-    return BoundaryMatrix(r=r, rows=rows, cols=cols, data=mat)
+    columns = tuple(
+        {row_index[face[:pos] + face[pos + 1:]]: -1 if pos % 2 else 1 for pos in range(r + 1)}
+        for face in cols
+    )
+    return BoundaryMatrix(r=r, rows=rows, cols=cols, columns=columns)
 
 
 def export_triplets(bm: BoundaryMatrix) -> str:
-    """Sparse triplet text: one "r row col value" line per nonzero entry."""
-    lines = []
-    for i, j in zip(*np.nonzero(bm.data)):
-        lines.append(f"{bm.r} {i} {j} {bm.data[i, j]:+d}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    """Sparse triplet text: one "r row col value" line per nonzero entry,
+    in row-major order."""
+    entries = sorted((i, j, v) for j, col in enumerate(bm.columns) for i, v in col.items())
+    return "".join(f"{bm.r} {i} {j} {v:+d}\n" for i, j, v in entries)
 
 
 # --- exact rank ---------------------------------------------------------------
 
 
-def _rank_mod_p(mat: np.ndarray, p: int) -> int:
-    a = np.mod(mat, p).astype(np.int64)
-    n_rows, n_cols = a.shape
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        pivots = np.nonzero(a[r:, c])[0]
-        if pivots.size == 0:
-            continue
-        piv = r + pivots[0]
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = (a[r] * inv) % p
-        below = a[r + 1:, c]
-        hit = np.nonzero(below)[0]
-        if hit.size:
-            a[r + 1 + hit] = (a[r + 1 + hit] - np.outer(below[hit], a[r])) % p
-        r += 1
-    return r
-
-
-def _rank_bareiss(mat: np.ndarray) -> int:
-    """Rank over the rationals of an integer matrix, by fraction-free
-    (Bareiss) elimination with exact integer arithmetic."""
-    a = [[int(x) for x in row] for row in mat]
-    n_rows = len(a)
-    n_cols = len(a[0]) if n_rows else 0
-    r = 0
-    prev = 1
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        piv = next((i for i in range(r, n_rows) if a[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-        pivot = a[r][c]
-        for i in range(r + 1, n_rows):
-            head = a[i][c]
-            row_i, row_r = a[i], a[r]
-            for j in range(c + 1, n_cols):
-                row_i[j] = (row_i[j] * pivot - head * row_r[j]) // prev
-            row_i[c] = 0
-        prev = pivot
-        r += 1
-    return r
+def _column_rank(columns, p: int) -> int:
+    """Rank over GF(p), or over Q when ``p`` is 0, of the matrix with these
+    sparse columns.  Pivot columns are kept scaled to a lowest entry of 1; a
+    column sheds multiples of them until its lowest row is no pivot's."""
+    pivots: dict[int, dict] = {}
+    for col in columns:
+        col = {i: x for i, v in col.items() if (x := v % p)} if p else dict(col)
+        while col:
+            low = max(col)
+            pivot = pivots.get(low)
+            if pivot is None:
+                break
+            c = col[low]
+            for i, v in pivot.items():
+                x = col.get(i, 0) - c * v
+                if p:
+                    x %= p
+                if x:
+                    col[i] = x
+                else:
+                    del col[i]
+        if col:
+            head = col[low]
+            if p:
+                inv = pow(head, -1, p)
+            else:
+                inv = head if head in (1, -1) else 1 / Fraction(head)
+            pivots[low] = {i: v * inv % p if p else v * inv for i, v in col.items()}
+    return len(pivots)
 
 
 def rank_over(bm: BoundaryMatrix, field: FieldSpec) -> int:
     """Exact rank of a boundary matrix over the given field."""
-    return matrix_rank(bm.data, field)
+    return matrix_rank(bm, field)
 
 
-def matrix_rank(mat: np.ndarray, field: FieldSpec) -> int:
-    mat = np.asarray(mat)
-    if mat.size == 0:
-        return 0
-    if isinstance(field, PrimeField):
-        return _rank_mod_p(mat, field.p)
-    return _rank_bareiss(mat)
+def matrix_rank(mat, field: FieldSpec) -> int:
+    """Exact rank over ``field`` of a BoundaryMatrix or of any 2-D integer
+    matrix (a numpy array or a list of rows)."""
+    if isinstance(mat, BoundaryMatrix):
+        columns = mat.columns
+    else:
+        n_cols = len(mat[0]) if len(mat) else 0
+        columns = [{i: int(row[j]) for i, row in enumerate(mat) if row[j]}
+                   for j in range(n_cols)]
+    return _column_rank(columns, field.p if isinstance(field, PrimeField) else 0)
 
 
 # --- homology summaries --------------------------------------------------------

@@ -73,10 +73,31 @@ def test_homology_rational_on_simplex(runner, tmp_path):
     assert data["field"] == "q"
 
 
+def _error_lines(result) -> list[str]:
+    return [line for line in result.output.splitlines() if line.startswith("Error:")]
+
+
 def test_homology_rejects_bad_field(runner, tmp_path):
     cpath = tmp_path / "simplex.json"
     cpath.write_text('{"n": 3, "facets": [[1, 2, 3]]}')
     assert invoke(runner, "homology", str(cpath), "--field", "gf:6").exit_code == 2
+    too_big = invoke(runner, "homology", str(cpath), "--field", f"gf:{2 ** 64 + 13}")
+    assert too_big.exit_code == 2
+    assert _error_lines(too_big) == [f"Error: {2 ** 64 + 13} is too large: primes must be below 2^64"]
+
+
+@pytest.mark.parametrize("command, text", [
+    ("fvector", '{"facets": [[1.7, 2], [true, 3]]}'),
+    ("tsc", '{"m": 3.9, "edges": [[1, 2.5]]}'),
+])
+def test_non_integer_json_exits_2_with_one_line(runner, tmp_path, command, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    result = invoke(runner, command, str(path))
+    assert result.exit_code == 2
+    errors = _error_lines(result)
+    assert len(errors) == 1 and "must be an integer" in errors[0]
+    assert "Traceback" not in result.output
 
 
 def test_check_cm_on_fixture_passes_honestly(runner):

@@ -137,3 +137,15 @@ def test_complex_json_roundtrip_is_byte_stable(corpus):
 def test_complex_json_rejects_vertex_count_mismatch():
     with pytest.raises(ValueError):
         complex_loads('{"n": 5, "facets": [[1, 2, 3]]}')
+
+
+@pytest.mark.parametrize("text", [
+    '{"facets": [[1.7, 2], [true, 3]]}',
+    '{"facets": [[1, 2.0]]}',
+    '{"facets": [[true, 2]]}',
+    '{"facets": [[1, "2"]]}',
+    '{"n": 2.0, "facets": [[1, 2]]}',
+])
+def test_complex_json_accepts_only_integers(text):
+    with pytest.raises(ValueError, match="must be an integer"):
+        complex_loads(text)

@@ -195,3 +195,16 @@ def test_graph_json_rejects_garbage():
         graph_loads("not json")
     with pytest.raises(ValueError):
         graph_loads('{"edges": [[1, 2]]}')
+    with pytest.raises(ValueError, match="labels"):
+        graph_loads('{"m": 1, "edges": [], "labels": [1]}')
+
+
+@pytest.mark.parametrize("text", [
+    '{"m": 3.9, "edges": [[1, 2.5]]}',
+    '{"m": 3, "edges": [[1, 2.5]]}',
+    '{"m": 2, "edges": [[true, 2]]}',
+    '{"m": 2, "edges": [[1, 2]], "labels": {"v1": 1, "v2": 2.0, "e1": 3}}',
+])
+def test_graph_json_accepts_only_integers(text):
+    with pytest.raises(ValueError, match="must be an integer"):
+        graph_loads(text)

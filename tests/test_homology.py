@@ -1,18 +1,28 @@
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tscomplex
 from tscomplex import (
     PrimeField,
     Rationals,
     SimplicialComplex,
     boundary_matrix,
+    build_tsc,
     euler_characteristic,
     export_triplets,
+    gen_friendship,
     homology_summary,
     matrix_rank,
     parse_field,
     rank_over,
 )
+from oracles import brute_force_reduced_betti
 
 
 # --- fields -------------------------------------------------------------------
@@ -30,6 +40,22 @@ def test_parse_field():
 def test_field_str_roundtrip():
     for f in (Rationals(), PrimeField(2), PrimeField(32003)):
         assert parse_field(str(f)) == f
+
+
+def test_large_prime_field_is_quick_and_exact(tsc_friendship):
+    start = time.perf_counter()
+    field = parse_field("gf:2305843009213693951")  # 2^61 - 1
+    assert time.perf_counter() - start < 1.0
+    assert rank_over(boundary_matrix(tsc_friendship[2], 2), field) == 40
+
+
+def test_primality_rejects_strong_pseudoprime_and_huge_p():
+    # 151 * 751 * 28351 is a strong pseudoprime to the bases 2, 3, 5 and 7
+    with pytest.raises(ValueError, match="not prime"):
+        PrimeField(3215031751)
+    with pytest.raises(ValueError, match="below 2\\^64"):
+        PrimeField(2 ** 64 + 13)
+    assert PrimeField(2 ** 64 - 59).p == 2 ** 64 - 59  # the largest prime below 2^64
 
 
 # --- boundary matrices ----------------------------------------------------------
@@ -103,6 +129,11 @@ def test_rank_of_zero_and_known_matrices():
     two = np.array([[2]])
     assert matrix_rank(two, Rationals()) == 1
     assert matrix_rank(two, PrimeField(2)) == 0
+    # plain lists of rows work too; a non-unit pivot over Q leaves fractions
+    assert matrix_rank([[2, 4], [3, 6]], Rationals()) == 1
+    assert matrix_rank([[2, 3], [4, 5]], Rationals()) == 2
+    assert matrix_rank([[2, 3], [4, 5]], PrimeField(2)) == 1
+    assert matrix_rank([], Rationals()) == 0
 
 
 def test_rank_agreement_random_integer_matrices():
@@ -171,3 +202,44 @@ def test_euler_equals_alternating_betti_sum(corpus):
         assert euler_characteristic(cx) == sum(
             (-1) ** k * b for k, b in enumerate(s.betti)
         ), name
+
+
+# --- the sparse kernel against oracles and closed forms ---------------------------
+
+RP2 = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+       (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6)]
+
+
+def test_kernel_matches_brute_force_betti(corpus):
+    for name, cx in corpus.items():
+        expected = brute_force_reduced_betti(cx.facets)
+        for field in (Rationals(), PrimeField(32003)):
+            assert homology_summary(cx, field).reduced_betti == expected, (name, field)
+
+
+def test_kernel_sees_the_characteristic_on_rp2():
+    rp2 = SimplicialComplex.from_facets(RP2)
+    assert homology_summary(rp2, PrimeField(2)).betti == (1, 1, 1)
+    assert homology_summary(rp2, Rationals()).betti == (1, 0, 0)
+    assert brute_force_reduced_betti(RP2) == (0, 0, 0)
+
+
+def test_primes_above_int64_range_do_not_overflow(tsc_friendship):
+    field = parse_field("gf:4294967311")
+    cx = tsc_friendship[2]
+    assert rank_over(boundary_matrix(cx, 2), field) == 40
+    assert homology_summary(cx, field).betti == (1, 0, 36)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_friendship_closed_form_betti(n):
+    cx = build_tsc(*gen_friendship(n))
+    expected = (1, 0, (4 * n ** 3 + 12 * n * n + 14 * n) // 3)
+    for field in (Rationals(), PrimeField(32003)):
+        assert homology_summary(cx, field).betti == expected
+
+
+def test_cli_import_does_not_load_numpy():
+    code = "import sys, tscomplex.cli; assert 'numpy' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=str(Path(tscomplex.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
