@@ -33,7 +33,6 @@ from .covers import (
 )
 from .graphs import (
     Graph,
-    TotalGraph,
     TotalLabeling,
     default_labeling,
     gen_c42,
@@ -85,7 +84,6 @@ __all__ = [
     "PrimeField",
     "Rationals",
     "SimplicialComplex",
-    "TotalGraph",
     "TotalIndexSet",
     "TotalLabeling",
     "build_tsc",

@@ -242,8 +242,8 @@ def friendship_verification_rows(n_max: int) -> tuple[list[dict], bool]:
     3n+1 (reported alongside), the full census is larger for n >= 2, and the
     n = 1 count cell is reported as OPEN with all candidate values.
     """
-    if not 1 <= n_max <= 4:
-        raise ValueError(f"n_max must lie in 1..4, got {n_max}")
+    if not 1 <= n_max <= 6:
+        raise ValueError(f"n_max must lie in 1..6, got {n_max}")
     rows = []
     all_pass = True
     for n in range(1, n_max + 1):

@@ -1,11 +1,15 @@
 """Minimal vertex covers, unmixedness, and squarefree ideal decompositions.
 
 A vertex cover of a complex meets every facet; the minimal ones are the
-minimal transversals of the facet hypergraph.  They are enumerated by a
-depth-first branch on the first uncovered facet (at most one branch per
-facet vertex, with earlier siblings excluded to keep branches disjoint),
-followed by an exact minimality filter: a cover is minimal iff each of its
-vertices has a private facet.
+minimal transversals of the facet hypergraph.  They are enumerated by MMCS
+(Murakami & Uno, "Efficient algorithms for dualizing large-scale
+hypergraphs", Discrete Appl. Math. 2014) on bitmasks, depth first on an
+explicit stack.  Each search node branches on the uncovered facet with the
+fewest candidate vertices, and a vertex is added only if every chosen
+vertex keeps a critical facet (one that no other chosen vertex meets).  So
+every leaf is a minimal cover and no cover is reached twice: no minimality
+filter and no deduplication are needed, and the search depth is bounded by
+the cover size, not by the interpreter's recursion limit.
 
 The minimal primes of the facet ideal correspond one-to-one to the minimal
 vertex covers, so the primary decomposition is read off the cover list.
@@ -49,42 +53,53 @@ class PrimeComponent:
         return "(" + ", ".join(f"x{v}" for v in self.variables) + ")"
 
 
-def _candidate_covers(facets: tuple[Face, ...]) -> list[frozenset[int]]:
-    found: list[frozenset[int]] = []
+def _minimal_transversals(facets: tuple[Face, ...]) -> list[tuple[int, ...]]:
+    """Every minimal transversal of ``facets``, each once, in search order.
 
-    def extend(chosen: frozenset[int], banned: frozenset[int]):
-        target = next((f for f in facets if not chosen.intersection(f)), None)
-        if target is None:
-            found.append(chosen)
-            return
-        for v in target:
-            if v not in banned:
-                extend(chosen | {v}, banned)
-            banned = banned | {v}  # later siblings must avoid v
-
-    extend(frozenset(), frozenset())
+    Masks: ``members[j]`` holds the vertices of facet j, ``hits[i]`` the
+    facets containing vertex i.  A stack entry is (chosen vertices, their
+    critical-facet masks, uncovered facets, candidate vertices).
+    """
+    vertices = sorted({v for f in facets for v in f})
+    index = {v: i for i, v in enumerate(vertices)}
+    members = [sum(1 << index[v] for v in f) for f in facets]
+    hits = [0] * len(vertices)
+    for j, f in enumerate(facets):
+        for v in f:
+            hits[index[v]] |= 1 << j
+    found = []
+    stack = [((), (), (1 << len(facets)) - 1, (1 << len(vertices)) - 1)]
+    while stack:
+        chosen, crit, uncov, cand = stack.pop()
+        if not uncov:
+            found.append(tuple(vertices[i] for i in sorted(chosen)))
+            continue
+        # branch on the uncovered facet with the fewest candidates
+        branch, fewest, rest = 0, len(vertices) + 1, uncov
+        while rest and fewest > 1:
+            low = rest & -rest
+            rest ^= low
+            options = members[low.bit_length() - 1] & cand
+            if options.bit_count() < fewest:
+                branch, fewest = options, options.bit_count()
+        # sibling e may use the siblings branched before it, never the later ones
+        cand &= ~branch
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            e = low.bit_length() - 1
+            kept = tuple(c & ~hits[e] for c in crit)
+            if all(kept):  # every chosen vertex still has a facet only it covers
+                stack.append((chosen + (e,), kept + (uncov & hits[e],), uncov & ~hits[e], cand))
+            cand |= low
     return found
-
-
-def _is_minimal_cover(cover: frozenset[int], facets: tuple[Face, ...]) -> bool:
-    # minimal <=> every chosen vertex is the sole representative of some facet
-    private = set()
-    for f in facets:
-        hit = cover.intersection(f)
-        if not hit:
-            return False
-        if len(hit) == 1:
-            private.update(hit)
-    return private == cover
 
 
 def minimal_vertex_covers(cx: SimplicialComplex) -> CoverReport:
     """Complete enumeration of the minimal vertex covers of ``cx``."""
     if any(not f for f in cx.facets):
         raise ValueError("the empty facet cannot be covered")
-    candidates = _candidate_covers(cx.facets)
-    covers = sorted({tuple(sorted(c)) for c in candidates
-                     if _is_minimal_cover(c, cx.facets)})
+    covers = sorted(_minimal_transversals(cx.facets))
     sizes = tuple(sorted(len(c) for c in covers))
     return CoverReport(
         covers=tuple(covers),
@@ -113,14 +128,13 @@ def stanley_reisner_generators(cx: SimplicialComplex) -> list[Face]:
     most dim + 2; singletons are faces by construction, so the search starts
     at pairs.
     """
-    cx.all_faces()
-    is_face = cx.has_face
+    faces = {face for group in cx.all_faces().values() for face in group}
     generators: list[Face] = []
     for size in range(2, cx.dimension() + 3):
         for cand in combinations(cx.vertices, size):
-            if is_face(cand):
+            if cand in faces:
                 continue
-            if all(is_face(cand[:i] + cand[i + 1:]) for i in range(size)):
+            if all(cand[:i] + cand[i + 1:] in faces for i in range(size)):
                 generators.append(cand)
     return sorted(generators)
 
@@ -129,12 +143,14 @@ def friendship_cover_count(n: int) -> int:
     """Closed-form cover count for the friendship-family TSC, n >= 2.
 
     Enumeration is authoritative and shows this formula counts exactly the
-    minimal covers of cardinality 3n+1; for n >= 2 the complex also has
-    larger minimal covers the formula does not see (9 of size 8 at n = 2,
-    13 of size 12 at n = 3).  At n = 1 the formula (value 10) disagrees even
-    with the size-4 census (15 covers: the complex is the full 2-skeleton on
-    six vertices, so the minimal covers are the complements of the
-    2-subsets), hence that case is rejected outright.
+    minimal covers of cardinality 3n+1 for n = 2..7; for n >= 2 the complex
+    also has larger minimal covers the formula does not see.  For n = 2..7
+    these are 4n + 1 covers of size 4n (9 of size 8 at n = 2, 13 of size 12
+    at n = 3, up to 29 of size 28 at n = 7), a pattern observed by
+    enumeration, not a proven one.  At n = 1 the formula (value 10)
+    disagrees even with the size-4 census (15 covers: the complex is the
+    full 2-skeleton on six vertices, so the minimal covers are the
+    complements of the 2-subsets), hence that case is rejected outright.
     """
     if n < 2:
         raise ValueError(

@@ -60,10 +60,6 @@ class Graph:
         return tuple(v for v in range(1, self.m + 1) if v not in touched)
 
 
-#: A total graph is an ordinary graph whose vertices are the labels 1..N.
-TotalGraph = Graph
-
-
 @dataclass(frozen=True)
 class TotalLabeling:
     """Bijection from the vertices and (canonically ordered) edges of a graph
@@ -169,7 +165,7 @@ def gen_c42() -> tuple[Graph, TotalLabeling]:
     return g, labeling
 
 
-def total_graph(g: Graph, labeling: TotalLabeling) -> TotalGraph:
+def total_graph(g: Graph, labeling: TotalLabeling) -> Graph:
     """Total graph on the labels 1..N.
 
     Two labels are adjacent iff the labeled objects are adjacent vertices of

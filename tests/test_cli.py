@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import tscomplex
+from tscomplex import SimplicialComplex, complex_dumps
 from tscomplex.cli import main
 
 
@@ -170,8 +176,27 @@ def test_verify_friendship_n2_reports_cover_mismatch(runner):
     assert invoke(runner, "verify-friendship", "--n-max", "2", "--assert").exit_code == 3
 
 
+def test_verify_friendship_n6_cover_census(runner):
+    result = invoke(runner, "verify-friendship", "--n-max", "6", "--format", "json")
+    assert result.exit_code == 0
+    cell = json.loads(result.output)["rows"][5]["cover_count"]
+    assert (cell["computed"], cell["at_expected_cardinality"]) == (15820, 15795)
+
+
 def test_verify_friendship_rejects_bad_n_max(runner):
-    assert invoke(runner, "verify-friendship", "--n-max", "9").exit_code == 2
+    for bad in ("0", "7", "9"):
+        assert invoke(runner, "verify-friendship", "--n-max", bad).exit_code == 2
+
+
+@pytest.mark.parametrize("command", ["covers", "decompose"])
+def test_deep_star_runs_without_traceback(tmp_path, command):
+    path = tmp_path / "star.json"
+    path.write_text(complex_dumps(SimplicialComplex.from_facets([(1, i) for i in range(2, 1502)])))
+    env = dict(os.environ, PYTHONPATH=str(Path(tscomplex.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "tscomplex", command, str(path), "--format", "json"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0 and "Traceback" not in done.stderr, done.stderr
+    assert json.loads(done.stdout)["cardinalities"] == [1, 1500]
 
 
 def test_missing_files_exit_2(runner):

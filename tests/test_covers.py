@@ -1,11 +1,15 @@
+import random
 from collections import Counter
 
 import pytest
 
 from tscomplex import (
     SimplicialComplex,
+    TotalLabeling,
+    build_tsc,
     facet_ideal_decomposition,
     friendship_cover_count,
+    gen_friendship,
     is_unmixed,
     minimal_vertex_covers,
     stanley_reisner_generators,
@@ -29,25 +33,44 @@ def test_covers_of_c42_fixture(c42_fix):
     assert sorted(set(rep.cardinalities)) == [6, 7]
 
 
-def test_friendship_cover_census(tsc_friendship):
-    # enumeration is authoritative; the closed form counts only the
-    # cardinality-(3n+1) covers, and larger minimal covers exist for n >= 2
-    expected = {
-        1: {4: 15},
-        2: {7: 55, 8: 9},
-        3: {10: 252, 12: 13},
-    }
-    for n, histogram in expected.items():
-        rep = minimal_vertex_covers(tsc_friendship[n])
-        assert dict(Counter(len(c) for c in rep.covers)) == histogram
+# enumeration is authoritative; the closed form counts only the
+# cardinality-(3n+1) covers, and larger minimal covers exist for n >= 2
+FRIENDSHIP_CENSUS = {
+    1: {4: 15},
+    2: {7: 55, 8: 9},
+    3: {10: 252, 12: 13},
+    4: {13: 1053, 16: 17},
+    5: {16: 4158, 20: 21},
+    6: {19: 15795, 24: 25},
+}
+
+
+@pytest.fixture(scope="module")
+def friendship_covers(tsc_friendship):
+    return {n: minimal_vertex_covers(tsc_friendship.get(n) or build_tsc(*gen_friendship(n)))
+            for n in FRIENDSHIP_CENSUS}
+
+
+def test_friendship_cover_census(friendship_covers):
+    for n, histogram in FRIENDSHIP_CENSUS.items():
+        rep = friendship_covers[n]
+        assert dict(Counter(len(c) for c in rep.covers)) == histogram, n
         assert rep.unmixed == (n == 1)
 
 
-def test_friendship_closed_form_matches_cardinality_census(tsc_friendship):
-    for n in (2, 3):
-        rep = minimal_vertex_covers(tsc_friendship[n])
-        at_card = sum(1 for c in rep.covers if len(c) == 3 * n + 1)
-        assert at_card == friendship_cover_count(n)
+def test_friendship_census_does_not_depend_on_labeling():
+    g, paper = gen_friendship(5)
+    labels = list(range(1, paper.label_count + 1))
+    random.Random(5).shuffle(labels)
+    shuffled = TotalLabeling(tuple(labels[:g.m]), tuple(labels[g.m:]))
+    rep = minimal_vertex_covers(build_tsc(g, shuffled))
+    assert dict(Counter(len(c) for c in rep.covers)) == FRIENDSHIP_CENSUS[5]
+
+
+def test_friendship_closed_form_matches_cardinality_census(friendship_covers):
+    for n in range(2, 7):
+        at_card = sum(1 for c in friendship_covers[n].covers if len(c) == 3 * n + 1)
+        assert at_card == friendship_cover_count(n), n
 
 
 def test_is_unmixed_examples(corpus):
@@ -74,6 +97,47 @@ def test_cover_enumeration_matches_brute_force(corpus):
         if len(cx.vertices) <= 16:
             rep = minimal_vertex_covers(cx)
             assert list(rep.covers) == brute_force_minimal_covers(cx), name
+
+
+def _random_generators(rng):
+    """Up to 12 vertices with sparse labels, split into two blocks that no
+    generator crosses; generators of 1..5 vertices, some nested in others."""
+    verts = rng.sample(range(1, 40), rng.randint(1, 12))
+    cut = rng.randint(1, len(verts))
+    blocks = [b for b in (verts[:cut], verts[cut:]) if b]
+    gens = []
+    for _ in range(rng.randint(1, 2 * len(verts))):
+        block = rng.choice(blocks)
+        gens.append(rng.sample(block, rng.randint(1, min(5, len(block)))))
+        if rng.random() < 0.2:
+            gens.append(rng.sample(gens[-1], rng.randint(1, len(gens[-1]))))
+    return gens
+
+
+def test_cover_enumeration_matches_brute_force_on_random_complexes():
+    rng = random.Random(20141)
+    kinds = Counter()
+    for _ in range(300):
+        cx = SimplicialComplex.from_facets(_random_generators(rng))
+        kinds.update({
+            "singleton facet": any(len(f) == 1 for f in cx.facets),
+            "disconnected": not cx.is_facet_connected(),
+            "non-pure": not cx.is_pure(),
+        })
+        assert list(minimal_vertex_covers(cx).covers) == brute_force_minimal_covers(cx), cx.facets
+    assert all(kinds[k] >= 30 for k in ("singleton facet", "disconnected", "non-pure")), kinds
+
+
+def test_deep_star_has_two_covers():
+    star = SimplicialComplex.from_facets([(1, i) for i in range(2, 1502)])
+    assert minimal_vertex_covers(star).covers == ((1,), tuple(range(2, 1502)))
+
+
+def test_many_singleton_facets_have_one_cover():
+    points = SimplicialComplex.from_facets([(i,) for i in range(1, 1501)])
+    rep = minimal_vertex_covers(points)
+    assert rep.covers == (tuple(range(1, 1501)),)
+    assert rep.unmixed
 
 
 def test_decomposition_of_path():
