@@ -58,7 +58,6 @@ from .homology import (
     homology_summary,
     matrix_rank,
     parse_field,
-    rank_over,
 )
 from .tsc import (
     TotalIndexSet,
@@ -114,7 +113,6 @@ __all__ = [
     "matrix_rank",
     "minimal_vertex_covers",
     "parse_field",
-    "rank_over",
     "stanley_reisner_generators",
     "total_graph",
     "total_indices",

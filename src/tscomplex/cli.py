@@ -170,6 +170,8 @@ def check(ctx, kind, complex_file, t, field_str, fmt, assert_verdict, out):
         field = parse_field(field_str)
     except ValueError as exc:
         _fail_input(str(exc))
+    if t is not None and kind != "cmt":
+        _fail_input(f"--t applies only to check cmt, not to check {kind}")
     cx = _load_complex(complex_file)
     try:
         if kind == "cm":

@@ -2,15 +2,17 @@
 
 A complex is Cohen-Macaulay over a field when, for every face (the empty
 face included), the reduced homology of its link vanishes strictly below the
-link's own dimension.  The CM_t hierarchy keeps the same vanishing condition
-but quantifies only over faces with at least t vertices, measures the range
-against the complex's top dimension, and additionally requires purity; t = 0
-recovers Cohen-Macaulay on pure complexes and t = 1 is the Buchsbaum
-property.
+link's own dimension (Reisner, *Adv. Math.* 1976).  The CM_t hierarchy
+quantifies only over faces with at least t vertices and additionally
+requires purity; t = 0 recovers Cohen-Macaulay on pure complexes and t = 1
+is the Buchsbaum property.  On a pure complex the link of a face σ has
+dimension dim - #σ, so both tests bound the degree by the link's dimension.
 
-Reduced homology in dimension -1 is never consulted: every non-void link has
-trivial (-1)-st reduced homology under the augmentation convention, and
-links of facets pass vacuously.
+Both run one walk over the faces, largest first, canonical within a size,
+with ∅ last; the first face that fails is the witness.  The walk stops below
+t vertices and skips every face with at least dim vertices before building
+its link: such a link has dimension at most 0 and passes vacuously.
+Reduced homology in dimension -1 is never consulted.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 from .complexes import Face, SimplicialComplex
 from .graphs import Graph, TotalLabeling, is_connected
-from .homology import DEFAULT_FIELD, FieldSpec, HomologySummary, homology_summary
+from .homology import DEFAULT_FIELD, FieldSpec, homology_summary
 from .tsc import build_tsc
 
 
@@ -55,36 +57,24 @@ class CmReport:
         }
 
 
-def _reduced(summary: HomologySummary, r: int) -> int:
-    """Reduced Betti number, 0 above the complex's dimension."""
-    if 0 <= r < len(summary.reduced_betti):
-        return summary.reduced_betti[r]
-    return 0
-
-
-def _faces_big_to_small(cx: SimplicialComplex):
-    """All faces including ∅, by decreasing size, canonical within a size."""
+def _witness(cx: SimplicialComplex, field: FieldSpec, t: int = 0) -> CmWitness | None:
+    """The first face with at least ``t`` vertices whose link has nonzero
+    reduced homology below the link's dimension, or None."""
     faces = cx.all_faces()
-    for k in sorted(faces, reverse=True):
-        yield from faces[k]
-    yield ()
+    for size in range(cx.dimension() - 1, t - 1, -1):
+        for face in faces[size - 1] if size else [()]:
+            reduced = homology_summary(cx.link(face), field).reduced_betti
+            for r, betti in enumerate(reduced[:-1]):  # the degrees below the link's dimension
+                if betti:
+                    return CmWitness(face, r, betti)
+    return None
 
 
 def is_cm(cx: SimplicialComplex, field: FieldSpec = DEFAULT_FIELD) -> CmReport:
     """Cohen-Macaulay test: every link has vanishing reduced homology below
     its dimension.  Stops at the first failing face."""
-    purity_ok = cx.is_pure()
-    for face in _faces_big_to_small(cx):
-        link = cx.link(face)
-        top = link.dimension()
-        if top <= 0:
-            continue
-        summary = homology_summary(link, field)
-        for r in range(top):
-            value = _reduced(summary, r)
-            if value != 0:
-                return CmReport(False, field, CmWitness(face, r, value), purity_ok)
-    return CmReport(True, field, None, purity_ok)
+    witness = _witness(cx, field)
+    return CmReport(witness is None, field, witness, cx.is_pure())
 
 
 def is_cm_t(cx: SimplicialComplex, t: int, field: FieldSpec = DEFAULT_FIELD) -> CmReport:
@@ -95,18 +85,8 @@ def is_cm_t(cx: SimplicialComplex, t: int, field: FieldSpec = DEFAULT_FIELD) -> 
         raise ValueError(f"t must lie in 0..{d} for a complex of dimension {d - 1}, got {t}")
     if not cx.is_pure():
         return CmReport(False, field, None, purity_ok=False)
-    for face in _faces_big_to_small(cx):
-        if len(face) < t:
-            break  # sizes only decrease from here
-        top = d - len(face) - 1
-        if top <= 0:
-            continue
-        summary = homology_summary(cx.link(face), field)
-        for r in range(top):
-            value = _reduced(summary, r)
-            if value != 0:
-                return CmReport(False, field, CmWitness(face, r, value), purity_ok=True)
-    return CmReport(True, field, None, purity_ok=True)
+    witness = _witness(cx, field, t)
+    return CmReport(witness is None, field, witness, purity_ok=True)
 
 
 def tsc_cm_shortcut(g: Graph, labeling: TotalLabeling, field: FieldSpec = DEFAULT_FIELD) -> bool:
@@ -117,8 +97,8 @@ def tsc_cm_shortcut(g: Graph, labeling: TotalLabeling, field: FieldSpec = DEFAUL
             "the shortcut requires a connected graph; the total complex of a "
             "disconnected graph is disconnected and never Cohen-Macaulay or Buchsbaum"
         )
-    summary = homology_summary(build_tsc(g, labeling), field)
-    return _reduced(summary, 1) == 0
+    reduced = homology_summary(build_tsc(g, labeling), field).reduced_betti
+    return len(reduced) < 2 or reduced[1] == 0
 
 
 def vertex_links_connected(cx: SimplicialComplex) -> bool:

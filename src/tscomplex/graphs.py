@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import json_int
+from .complexes import SimplicialComplex, json_int
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
-
-    def neighbors(self, v: int) -> set[int]:
-        return {u + w - v for u, w in self.edges if v in (u, w)}
 
     def isolated_vertices(self) -> tuple[int, ...]:
         touched = {v for e in self.edges for v in e}
@@ -190,16 +187,9 @@ def total_graph(g: Graph, labeling: TotalLabeling) -> Graph:
 
 
 def is_connected(g: Graph) -> bool:
-    reached = {1}
-    frontier = [1]
-    adjacency = {v: g.neighbors(v) for v in range(1, g.m + 1)}
-    while frontier:
-        v = frontier.pop()
-        for u in adjacency[v]:
-            if u not in reached:
-                reached.add(u)
-                frontier.append(u)
-    return len(reached) == g.m
+    """True iff every two vertices are joined by a path of edges."""
+    vertices = [(v,) for v in range(1, g.m + 1)]
+    return SimplicialComplex([*g.edges, *vertices]).is_facet_connected()
 
 
 # --- JSON interchange ------------------------------------------------------

@@ -10,15 +10,13 @@ row (Kaczynski, Mischaikow & Mrozek, *Computational Homology*, 2004).  Over
 GF(p) it works with Python ints mod p, so no prime overflows it; over the
 rationals entries stay ints until a pivot other than +-1 makes fractions.
 The default working field is GF(32003); the rationals serve as the
-independent verification route.  numpy is imported only by the dense view
-``BoundaryMatrix.data``.
+independent verification route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .complexes import Face, SimplicialComplex
 
@@ -108,17 +106,6 @@ class BoundaryMatrix:
     def size(self) -> int:
         return len(self.rows) * len(self.cols)
 
-    @cached_property
-    def data(self):
-        """Dense read-only int64 view (numpy)."""
-        import numpy as np
-
-        mat = np.zeros(self.shape, dtype=np.int64)
-        for j, col in enumerate(self.columns):
-            mat[list(col), j] = list(col.values())
-        mat.flags.writeable = False
-        return mat
-
 
 def boundary_matrix(cx: SimplicialComplex, r: int) -> BoundaryMatrix:
     """The boundary map from r-faces to (r-1)-faces, 1 <= r <= dim."""
@@ -173,11 +160,6 @@ def _column_rank(columns, p: int) -> int:
                 inv = head if head in (1, -1) else 1 / Fraction(head)
             pivots[low] = {i: v * inv % p if p else v * inv for i, v in col.items()}
     return len(pivots)
-
-
-def rank_over(bm: BoundaryMatrix, field: FieldSpec) -> int:
-    """Exact rank of a boundary matrix over the given field."""
-    return matrix_rank(bm, field)
 
 
 def matrix_rank(mat, field: FieldSpec) -> int:
@@ -235,7 +217,7 @@ def homology_summary(cx: SimplicialComplex, field: FieldSpec = DEFAULT_FIELD) ->
     alpha = cx.f_vector()
     rank_im = [0] * (dim + 1)
     for r in range(1, dim + 1):
-        rank_im[r] = rank_over(boundary_matrix(cx, r), field)
+        rank_im[r] = matrix_rank(boundary_matrix(cx, r), field)
     rank_ker = [alpha[r] - rank_im[r] for r in range(dim + 1)]
     betti = [rank_ker[r] - (rank_im[r + 1] if r + 1 <= dim else 0) for r in range(dim + 1)]
     reduced = list(betti)

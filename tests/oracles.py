@@ -87,6 +87,48 @@ def brute_force_reduced_betti(facets) -> tuple[int, ...]:
     return tuple(len(faces[r]) - ranks[r] - ranks[r + 1] for r in range(dim + 1))
 
 
+def sparse_product(lower, upper) -> list[dict[int, int]]:
+    """The columns of ``lower @ upper`` for two matrices given by sparse
+    columns (``{row: entry}`` dicts), exact in Python ints, zeros dropped."""
+    if lower.shape[1] != upper.shape[0]:
+        raise ValueError(f"shapes {lower.shape} and {upper.shape} do not compose")
+    product = []
+    for col in upper.columns:
+        acc: dict[int, int] = {}
+        for k, v in col.items():
+            for i, w in lower.columns[k].items():
+                acc[i] = acc.get(i, 0) + w * v
+        product.append({i: x for i, x in acc.items() if x})
+    return product
+
+
+def brute_force_cm_witness(facets, t=0):
+    """Reisner's test over Q, spelled out: the first face with at least
+    ``t`` vertices whose link has nonzero reduced homology in a degree below
+    the link's dimension, as ``(face, r, betti)``, or None.
+
+    Faces are taken largest first, canonical within a size, with the empty
+    face last (the reporting contract).  Each link is the set of faces
+    disjoint from the face whose union with it lies in a generator, ranked by
+    ``brute_force_reduced_betti``.
+    """
+    gens = [set(f) for f in facets]
+    faces = brute_force_faces(SimplicialComplex(facets))
+    everything = [f for group in faces.values() for f in group]
+    for face in [f for k in sorted(faces, reverse=True) for f in faces[k]] + [()]:
+        if len(face) < t:
+            break
+        inside = set(face)
+        link = [f for f in everything
+                if not inside & set(f) and any(inside | set(f) <= g for g in gens)]
+        top = max((len(f) for f in link), default=0) - 1
+        betti = brute_force_reduced_betti(link) if top > 0 else ()
+        for r in range(top):
+            if betti[r]:
+                return face, r, betti[r]
+    return None
+
+
 def facet_component_count(cx: SimplicialComplex) -> int:
     """Number of facet-connectivity components, by plain BFS."""
     facets = [set(f) for f in cx.facets]

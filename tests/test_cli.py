@@ -132,6 +132,13 @@ def test_check_buchsbaum_and_cmt(runner, tmp_path):
     assert invoke(runner, "check", "cmt", str(cpath)).exit_code == 2  # missing --t
 
 
+@pytest.mark.parametrize("kind", ["cm", "buchsbaum"])
+def test_check_refuses_t_outside_cmt(runner, kind):
+    result = invoke(runner, "check", kind, "c42-fixture", "--t", "3")
+    assert result.exit_code == 2
+    assert _error_lines(result) == [f"Error: --t applies only to check cmt, not to check {kind}"]
+
+
 def test_covers_assert_flags_mixed_fixture(runner):
     result = invoke(runner, "covers", "c42-fixture", "--format", "json", "--assert")
     assert result.exit_code == 3
