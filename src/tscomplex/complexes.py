@@ -5,7 +5,22 @@ facets (the inclusion-maximal faces) in canonical order: ascending vertex
 lists compared lexicographically.  The complex whose only face is the empty
 face (the link of a facet) is representable and has dimension -1.
 
-Complexes are immutable; face enumerations are cached per instance.
+A complex is built on one of two paths.  The public ones (the constructor,
+:meth:`SimplicialComplex.from_facets` and JSON input) validate every
+generator and drop the dominated ones.  The private trusted path only sorts;
+it serves callers whose generators are provably an antichain of sorted
+tuples: ``build_tsc`` (total indices are distinct triples plus singletons of
+isolated vertices, and no triple contains an isolated vertex's label) and
+:meth:`SimplicialComplex.link` (see there).
+
+Both the antichain test and ``link`` read one index: for each vertex, the
+bitmask of the generators containing it.  A generator is dominated exactly
+when the AND of its vertices' masks has a bit besides its own, and the
+facets through a face are the AND of its vertices' masks, so neither compares
+generators pairwise.
+
+Complexes are immutable; the face enumeration and the index are cached per
+instance.
 """
 
 from __future__ import annotations
@@ -24,36 +39,68 @@ def _as_face(vertices) -> Face:
     return face
 
 
+def vertex_masks(faces) -> dict[int, int]:
+    """For each vertex, the bitmask of the positions in ``faces`` of the
+    faces that contain it."""
+    masks: dict[int, int] = {}
+    for j, face in enumerate(faces):
+        bit = 1 << j
+        for v in face:
+            masks[v] = masks.get(v, 0) | bit
+    return masks
+
+
+def _meet(masks: dict[int, int], face: Face) -> int:
+    """The AND of the masks of ``face``'s vertices: -1 (every bit) for ∅,
+    0 if a vertex has no mask."""
+    common = -1
+    for v in face:
+        common &= masks.get(v, 0)
+    return common
+
+
 def _antichain(faces: set[Face]) -> tuple[Face, ...]:
-    """Keep only the inclusion-maximal members, in canonical order."""
-    by_size = sorted(faces, key=len, reverse=True)
-    kept: list[Face] = []
-    kept_sets: list[frozenset] = []
-    for face in by_size:
-        fs = frozenset(face)
-        if any(fs <= other for other in kept_sets):
-            continue
-        kept.append(face)
-        kept_sets.append(fs)
-    return tuple(sorted(kept))
+    """Keep only the inclusion-maximal members, in canonical order.
+
+    The members are distinct, so one is dominated iff another member
+    contains all its vertices, i.e. its meet has a bit besides its own.
+    """
+    ordered = sorted(faces)
+    masks = vertex_masks(ordered)
+    everything = (1 << len(ordered)) - 1
+    return tuple(face for j, face in enumerate(ordered)
+                 if (_meet(masks, face) & everything) == 1 << j)
 
 
 class SimplicialComplex:
     """An abstract simplicial complex given by its facet antichain."""
 
-    __slots__ = ("_facets", "_vertices", "_faces_by_dim", "_face_set")
+    __slots__ = ("_facets", "_vertices", "_faces_by_dim", "_masks")
 
     def __init__(self, facets):
-        """Internal constructor: ``facets`` may be any generating family of
-        (possibly empty) faces.  Use :meth:`from_facets` for validated input.
+        """Validating constructor: ``facets`` may be any generating family of
+        (possibly empty) faces; each is checked for repeated vertices and
+        the dominated ones are dropped by the mask test of ``_antichain``.
+        Use :meth:`from_facets` to also refuse the empty face.
         """
         gens = {_as_face(f) for f in facets}
         if not gens:
             raise ValueError("a simplicial complex needs at least one generating face")
-        self._facets = _antichain(gens)
-        self._vertices = tuple(sorted({v for f in self._facets for v in f}))
+        self._set_facets(_antichain(gens))
+
+    @classmethod
+    def _trusted(cls, facets) -> "SimplicialComplex":
+        """Trusted constructor: ``facets`` must already be an antichain of
+        sorted tuples; they are only put in canonical order."""
+        cx = cls.__new__(cls)
+        cx._set_facets(tuple(sorted(facets)))
+        return cx
+
+    def _set_facets(self, facets: tuple[Face, ...]) -> None:
+        self._facets = facets
+        self._vertices = tuple(sorted({v for f in facets for v in f}))
         self._faces_by_dim = None
-        self._face_set = None
+        self._masks = None
 
     @classmethod
     def from_facets(cls, sets) -> "SimplicialComplex":
@@ -102,19 +149,21 @@ class SimplicialComplex:
             for face in faces:
                 grouped.setdefault(len(face) - 1, []).append(face)
             self._faces_by_dim = {k: sorted(v) for k, v in sorted(grouped.items())}
-            self._face_set = faces
         return self._faces_by_dim
 
     def faces(self, k: int) -> list[Face]:
         """The k-dimensional faces in canonical order (empty list if none)."""
         return self.all_faces().get(k, [])
 
+    def _facets_through(self, face: Face) -> int:
+        """The bitmask of the facets (by position) that contain ``face``;
+        -1 for ∅, which every facet contains."""
+        if self._masks is None:
+            self._masks = vertex_masks(self._facets)
+        return _meet(self._masks, face)
+
     def has_face(self, face) -> bool:
-        face = _as_face(face)
-        if face == ():
-            return True
-        self.all_faces()
-        return face in self._face_set
+        return self._facets_through(_as_face(face)) != 0
 
     def f_vector(self) -> tuple[int, ...]:
         """(alpha_0, ..., alpha_dim): face counts per dimension."""
@@ -149,16 +198,26 @@ class SimplicialComplex:
     def link(self, face) -> "SimplicialComplex":
         """The link at ``face``: all faces disjoint from it whose union with
         it is again a face.  The link at ∅ is the complex itself; the link at
-        a facet is the dimension -1 complex {∅}."""
+        a facet is the dimension -1 complex {∅}.
+
+        Its facets are F ∖ σ for the facets F through σ, read off the mask
+        index, and they go through the trusted constructor: if F ∖ σ ⊆ F' ∖ σ
+        and σ lies in both F and F', then F ⊆ F', so distinct facets give an
+        antichain.
+        """
         face = _as_face(face)
-        if not self.has_face(face):
+        through = self._facets_through(face)
+        if not through:
             raise ValueError(f"{face} is not a face of the complex")
         if face == ():
             return self
         fs = set(face)
-        gens = [tuple(v for v in facet if v not in fs)
-                for facet in self._facets if fs <= set(facet)]
-        return SimplicialComplex(gens)
+        gens = []
+        while through:
+            low = through & -through
+            through ^= low
+            gens.append(tuple(v for v in self._facets[low.bit_length() - 1] if v not in fs))
+        return SimplicialComplex._trusted(gens)
 
     # -- misc ----------------------------------------------------------------
 

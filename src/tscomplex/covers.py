@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import Face, SimplicialComplex
+from .complexes import Face, SimplicialComplex, vertex_masks
 
 
 @dataclass(frozen=True)
@@ -60,13 +60,11 @@ def _minimal_transversals(facets: tuple[Face, ...]) -> list[tuple[int, ...]]:
     facets containing vertex i.  A stack entry is (chosen vertices, their
     critical-facet masks, uncovered facets, candidate vertices).
     """
-    vertices = sorted({v for f in facets for v in f})
+    masks = vertex_masks(facets)
+    vertices = sorted(masks)
     index = {v: i for i, v in enumerate(vertices)}
     members = [sum(1 << index[v] for v in f) for f in facets]
-    hits = [0] * len(vertices)
-    for j, f in enumerate(facets):
-        for v in f:
-            hits[index[v]] |= 1 << j
+    hits = [masks[v] for v in vertices]
     found = []
     stack = [((), (), (1 << len(facets)) - 1, (1 << len(vertices)) - 1)]
     while stack:

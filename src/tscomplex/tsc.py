@@ -35,7 +35,12 @@ class TotalIndexSet:
 
 
 def total_indices(g: Graph, labeling: TotalLabeling) -> TotalIndexSet:
-    """Enumerate the total indices of ``g`` under ``labeling``."""
+    """Enumerate the total indices of ``g`` under ``labeling``.
+
+    They form an antichain: the triples are distinct, and an isolated
+    vertex is adjacent to nothing in the total graph, so no triple (which
+    needs two adjacent pairs) contains its label.
+    """
     t = total_graph(g, labeling)
     adjacent = set(t.edges)
     triples = set()
@@ -48,8 +53,9 @@ def total_indices(g: Graph, labeling: TotalLabeling) -> TotalIndexSet:
 
 
 def build_tsc(g: Graph, labeling: TotalLabeling) -> SimplicialComplex:
-    """The total simplicial complex generated by the total indices."""
-    return SimplicialComplex.from_facets(total_indices(g, labeling).all())
+    """The total simplicial complex generated by the total indices, which
+    are already its facets (see :func:`total_indices`)."""
+    return SimplicialComplex._trusted(total_indices(g, labeling).all())
 
 
 def friendship_facets_closed_form(n: int) -> set[Face]:

@@ -24,6 +24,21 @@ def brute_force_faces(cx: SimplicialComplex) -> dict[int, list[tuple[int, ...]]]
     return grouped
 
 
+def brute_force_antichain(gens) -> tuple[tuple[int, ...], ...]:
+    """The inclusion-maximal members of ``gens`` as sorted tuples in
+    canonical order, by comparing each with every member kept so far."""
+    by_size = sorted({tuple(sorted(g)) for g in gens}, key=len, reverse=True)
+    kept: list[tuple[int, ...]] = []
+    kept_sets: list[frozenset] = []
+    for face in by_size:
+        fs = frozenset(face)
+        if any(fs <= other for other in kept_sets):
+            continue
+        kept.append(face)
+        kept_sets.append(fs)
+    return tuple(sorted(kept))
+
+
 def brute_force_minimal_covers(cx: SimplicialComplex) -> list[tuple[int, ...]]:
     """Scan all 2^N vertex subsets (vectorized); a subset is a minimal cover
     iff it meets every facet and each of its vertices is the unique

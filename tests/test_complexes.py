@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from tscomplex import SimplicialComplex, complex_dumps, complex_loads
-from oracles import brute_force_faces, facet_component_count
+from oracles import brute_force_antichain, brute_force_faces, facet_component_count
 
 
 def test_from_facets_drops_dominated_sets():
@@ -25,6 +27,36 @@ def test_from_facets_rejects_empty_input():
         SimplicialComplex.from_facets([])
     with pytest.raises(ValueError):
         SimplicialComplex.from_facets([(1, 2), ()])
+
+
+def _random_families(count, seed):
+    """Generating families on at most 8 vertices, with empty faces, the same
+    set listed in two vertex orders, nested generators and singletons."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        gens = []
+        for _ in range(rng.randint(1, 10)):
+            gen = rng.sample(range(1, n + 1), rng.randint(0, min(5, n)))
+            gens.append(gen)
+            roll = rng.random()
+            if roll < 0.25:
+                gens.append(gen[::-1])
+            elif roll < 0.5:
+                gens.append(gen[:rng.randint(0, len(gen))])
+        yield gens
+
+
+def test_antichain_matches_pairwise_filter_on_random_families():
+    families = list(_random_families(300, seed=3))
+    sets = [[frozenset(g) for g in gens] for gens in families]
+    assert sum(frozenset() in s for s in sets) >= 30
+    assert sum(any(len(g) == 1 for g in s) for s in sets) >= 30
+    assert sum(any(a < b for a in s for b in s) for s in sets) >= 30
+    assert sum(any(list(a) != list(b) and set(a) == set(b) for a in gens for b in gens)
+               for gens in families) >= 30
+    for gens in families:
+        assert SimplicialComplex(gens).facets == brute_force_antichain(gens), gens
 
 
 def test_all_faces_of_one_triangle():
@@ -89,13 +121,17 @@ def test_link_rejects_non_face(corpus):
 def test_link_faces_recombine_into_faces(corpus):
     for name in ("tsc_p3", "c42_fixture", "hollow_triangle", "two_triangles_shared_vertex"):
         cx = corpus[name]
-        for k, faces in cx.all_faces().items():
-            for sigma in faces[:10]:
-                link = cx.link(sigma)
-                for faces_tau in link.all_faces().values():
-                    for tau in faces_tau:
-                        assert not set(tau) & set(sigma)
-                        assert cx.has_face(tuple(sorted(set(tau) | set(sigma))))
+        faces = [face for group in cx.all_faces().values() for face in group]
+        face_set = set(faces)
+        for sigma in faces:
+            in_link = {tau for group in cx.link(sigma).all_faces().values() for tau in group}
+            assert in_link <= face_set
+            for tau in faces:
+                union = tuple(sorted(set(tau) | set(sigma)))
+                assert cx.has_face(union) == (union in face_set)
+                # tau lies in the link iff it is disjoint from sigma and recombines with it
+                recombines = not set(tau) & set(sigma) and union in face_set
+                assert (tau in in_link) == recombines, (name, sigma, tau)
 
 
 def test_all_faces_against_brute_force(corpus):

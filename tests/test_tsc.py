@@ -1,8 +1,12 @@
+import random
+import time
 from itertools import combinations
 
 import pytest
 
 from tscomplex import (
+    SimplicialComplex,
+    TotalLabeling,
     build_tsc,
     default_labeling,
     friendship_facets_closed_form,
@@ -78,6 +82,27 @@ def test_closed_form_counts():
 def test_closed_form_matches_definition(tsc_friendship):
     for n in (1, 2, 3):
         assert set(tsc_friendship[n].facets) == friendship_facets_closed_form(n)
+
+
+def test_build_tsc_scales_to_friendship_20():
+    start = time.perf_counter()
+    for n in range(1, 21):
+        facets = build_tsc(*gen_friendship(n)).facets
+        assert facets == tuple(sorted(friendship_facets_closed_form(n))), n
+    assert time.perf_counter() - start < 5.0
+
+
+def test_build_tsc_equals_validated_construction():
+    # build_tsc trusts the total indices to be an antichain; the validating
+    # constructor must agree with it
+    rng = random.Random(5)
+    for g in all_labeled_graphs(5):
+        labels = list(range(1, g.m + g.edge_count + 1))
+        rng.shuffle(labels)
+        shuffled = TotalLabeling(tuple(labels[:g.m]), tuple(labels[g.m:]))
+        for lab in (default_labeling(g), shuffled):
+            expected = SimplicialComplex.from_facets(total_indices(g, lab).all()).facets
+            assert build_tsc(g, lab).facets == expected, (g.m, g.edges, lab)
 
 
 def test_closed_form_rejects_n0():
