@@ -2,7 +2,9 @@
 
 Commands communicate through canonical JSON files so that every artifact is
 byte-reproducible and diffable.  Exit codes: 0 success, 2 input error,
-3 failed --assert check.
+3 failed --assert check.  A command refuses input by raising ``ValueError``
+(or hitting an ``OSError`` on a file); every command turns either into one
+``Error:`` line and exit 2.
 
 The bundled 73-facet reference complex is available to every command that
 takes a complex file by passing the literal name ``c42-fixture`` instead of
@@ -11,14 +13,14 @@ a path.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import click
 
 from .cohen_macaulay import is_cm, is_cm_t
-from .complexes import SimplicialComplex, complex_dumps, complex_loads
+from .complexes import SimplicialComplex, canonical_json, complex_dumps, complex_loads
 from .covers import (
+    _friendship_cover_formula,
     decomposition_text,
     decomposition_to_json_dict,
     facet_ideal_decomposition,
@@ -33,48 +35,56 @@ from .graphs import (
     graph_from_edge_list,
     graph_loads,
 )
-from .homology import PrimeField, Rationals, homology_summary, parse_field
+from .homology import DEFAULT_FIELD, PrimeField, Rationals, homology_summary, parse_field
 from .tsc import build_tsc, c42_fixture
 
-DEFAULT_FIELD_SPEC = "gf:32003"
 
+class _Command(click.Command):
+    """A command whose ``ValueError`` or ``OSError`` is an input error."""
 
-def _fail_input(message: str):
-    raise click.UsageError(message)
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, OSError) as exc:
+            raise click.UsageError(str(exc), ctx) from exc
 
 
 def _emit(text: str, out: str | None):
     if out:
         Path(out).write_text(text)
     else:
-        click.echo(text, nl=not text.endswith("\n"))
+        click.echo(text, nl=False)
+
+
+def _read(kind: str, path: str, loads):
+    try:
+        return loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read {kind} file {path!r}: {exc}") from exc
 
 
 def _load_graph(path: str):
-    try:
-        return graph_loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        _fail_input(f"cannot read graph file {path!r}: {exc}")
+    return _read("graph", path, graph_loads)
 
 
 def _load_complex(path: str) -> SimplicialComplex:
     if path == "c42-fixture":
         return c42_fixture()
-    try:
-        return complex_loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        _fail_input(f"cannot read complex file {path!r}: {exc}")
+    return _read("complex", path, complex_loads)
 
 
 def _render(payload: dict, text: str, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        return canonical_json(payload)
     return text if text.endswith("\n") else text + "\n"
 
 
 @click.group()
 def main():
     """Total simplicial complexes: build, inspect, verify."""
+
+
+main.command_class = _Command
 
 
 @main.command()
@@ -85,27 +95,24 @@ def main():
 @click.option("--out", type=str, default=None, help="Output file (stdout otherwise).")
 def gen(family, n, m, edges, out):
     """Write a labeled graph as canonical JSON."""
-    try:
-        if family == "friendship":
-            if n is None:
-                _fail_input("gen friendship requires --n")
-            g, labeling = gen_friendship(n)
-        elif family == "c42":
-            g, labeling = gen_c42()
-        else:
-            if m is None:
-                _fail_input("gen edge-list requires --m")
-            pairs = []
-            for text in edges:
-                u, _, v = text.partition(",")
-                try:
-                    pairs.append((int(u), int(v)))
-                except ValueError:
-                    _fail_input(f"bad edge {text!r}; expected 'u,v'")
-            g = graph_from_edge_list(m, pairs)
-            labeling = default_labeling(g)
-    except ValueError as exc:
-        _fail_input(str(exc))
+    if family == "friendship":
+        if n is None:
+            raise ValueError("gen friendship requires --n")
+        g, labeling = gen_friendship(n)
+    elif family == "c42":
+        g, labeling = gen_c42()
+    else:
+        if m is None:
+            raise ValueError("gen edge-list requires --m")
+        pairs = []
+        for text in edges:
+            u, _, v = text.partition(",")
+            try:
+                pairs.append((int(u), int(v)))
+            except ValueError:
+                raise ValueError(f"bad edge {text!r}; expected 'u,v'") from None
+        g = graph_from_edge_list(m, pairs)
+        labeling = default_labeling(g)
     _emit(graph_dumps(g, labeling), out)
 
 
@@ -114,12 +121,7 @@ def gen(family, n, m, edges, out):
 @click.option("--out", type=str, default=None)
 def tsc(graph_file, out):
     """Build the total simplicial complex of a labeled graph file."""
-    g, labeling = _load_graph(graph_file)
-    try:
-        cx = build_tsc(g, labeling)
-    except ValueError as exc:
-        _fail_input(str(exc))
-    _emit(complex_dumps(cx), out)
+    _emit(complex_dumps(build_tsc(*_load_graph(graph_file))), out)
 
 
 @main.command()
@@ -136,15 +138,12 @@ def fvector(complex_file, fmt, out):
 
 @main.command()
 @click.argument("complex_file")
-@click.option("--field", "field_str", default=DEFAULT_FIELD_SPEC, help="'q' or 'gf:<p>'.")
+@click.option("--field", "field_str", default=str(DEFAULT_FIELD), help="'q' or 'gf:<p>'.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @click.option("--out", type=str, default=None)
 def homology(complex_file, field_str, fmt, out):
     """Ranks and Betti numbers over a field."""
-    try:
-        field = parse_field(field_str)
-    except ValueError as exc:
-        _fail_input(str(exc))
+    field = parse_field(field_str)
     cx = _load_complex(complex_file)
     summary = homology_summary(cx, field)
     text = (
@@ -158,32 +157,25 @@ def homology(complex_file, field_str, fmt, out):
 @click.argument("kind", type=click.Choice(["cm", "buchsbaum", "cmt"]))
 @click.argument("complex_file")
 @click.option("--t", "t", type=int, default=None, help="Level for the cmt check.")
-@click.option("--field", "field_str", default=DEFAULT_FIELD_SPEC)
+@click.option("--field", "field_str", default=str(DEFAULT_FIELD))
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @click.option("--assert", "assert_verdict", is_flag=True, default=False,
               help="Exit 3 when the verdict is false.")
 @click.option("--out", type=str, default=None)
-@click.pass_context
-def check(ctx, kind, complex_file, t, field_str, fmt, assert_verdict, out):
+def check(kind, complex_file, t, field_str, fmt, assert_verdict, out):
     """Cohen-Macaulay / Buchsbaum / CM_t verdicts with failure witnesses."""
-    try:
-        field = parse_field(field_str)
-    except ValueError as exc:
-        _fail_input(str(exc))
+    field = parse_field(field_str)
     if t is not None and kind != "cmt":
-        _fail_input(f"--t applies only to check cmt, not to check {kind}")
+        raise ValueError(f"--t applies only to check cmt, not to check {kind}")
     cx = _load_complex(complex_file)
-    try:
-        if kind == "cm":
-            report = is_cm(cx, field)
-        elif kind == "buchsbaum":
-            report = is_cm_t(cx, 1, field)
-        else:
-            if t is None:
-                _fail_input("check cmt requires --t")
-            report = is_cm_t(cx, t, field)
-    except ValueError as exc:
-        _fail_input(str(exc))
+    if kind == "cm":
+        report = is_cm(cx, field)
+    elif kind == "buchsbaum":
+        report = is_cm_t(cx, 1, field)
+    else:
+        if t is None:
+            raise ValueError("check cmt requires --t")
+        report = is_cm_t(cx, t, field)
     payload = report.to_json_dict()
     text = f"{kind}: verdict={report.verdict} purity_ok={report.purity_ok}"
     if report.witness is not None:
@@ -191,7 +183,7 @@ def check(ctx, kind, complex_file, t, field_str, fmt, assert_verdict, out):
         text += f" witness(face={w.face}, r={w.r}, betti={w.betti})"
     _emit(_render(payload, text, fmt), out)
     if assert_verdict and not report.verdict:
-        ctx.exit(3)
+        raise SystemExit(3)
 
 
 @main.command()
@@ -200,8 +192,7 @@ def check(ctx, kind, complex_file, t, field_str, fmt, assert_verdict, out):
 @click.option("--assert", "assert_verdict", is_flag=True, default=False,
               help="Exit 3 when the complex is not unmixed.")
 @click.option("--out", type=str, default=None)
-@click.pass_context
-def covers(ctx, complex_file, fmt, assert_verdict, out):
+def covers(complex_file, fmt, assert_verdict, out):
     """Enumerate all minimal vertex covers."""
     cx = _load_complex(complex_file)
     report = minimal_vertex_covers(cx)
@@ -210,7 +201,7 @@ def covers(ctx, complex_file, fmt, assert_verdict, out):
     lines += ["  {" + ", ".join(map(str, c)) + "}" for c in report.covers]
     _emit(_render(report.to_json_dict(), "\n".join(lines), fmt), out)
     if assert_verdict and not report.unmixed:
-        ctx.exit(3)
+        raise SystemExit(3)
 
 
 @main.command()
@@ -271,7 +262,7 @@ def friendship_verification_rows(n_max: int) -> tuple[list[dict], bool]:
         if n == 1:
             row["cover_count"] = {
                 "computed": len(report.covers),
-                "formula": (2 * n * n + 19 * n + 9) * 3 ** n // 9,
+                "formula": _friendship_cover_formula(n),
                 "analytic": 15,
                 "status": "OPEN",
             }
@@ -311,17 +302,13 @@ def _row_text(row: dict) -> str:
 @click.option("--assert", "assert_verdict", is_flag=True, default=False,
               help="Exit 3 when any cell fails.")
 @click.option("--out", type=str, default=None)
-@click.pass_context
-def verify_friendship(ctx, n_max, fmt, assert_verdict, out):
+def verify_friendship(n_max, fmt, assert_verdict, out):
     """Recompute every friendship-family claim and report PASS/FAIL cells."""
-    try:
-        rows, all_pass = friendship_verification_rows(n_max)
-    except ValueError as exc:
-        _fail_input(str(exc))
+    rows, all_pass = friendship_verification_rows(n_max)
     payload = {"rows": rows, "all_pass": all_pass}
     _emit(_render(payload, "\n".join(_row_text(r) for r in rows), fmt), out)
     if assert_verdict and not all_pass:
-        ctx.exit(3)
+        raise SystemExit(3)
 
 
 if __name__ == "__main__":

@@ -238,6 +238,19 @@ class SimplicialComplex:
 # {"n": <vertex count>, "facets": [[...], ...]}  with facets in canonical order.
 
 
+def canonical_json(data) -> str:
+    """Byte-stable JSON text: sorted keys, no spaces, one trailing newline."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def parse_json(text: str):
+    """Decode JSON text; malformed or too deeply nested text is a ``ValueError``."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"invalid JSON: {exc}") from exc
+
+
 def complex_to_json_dict(cx: SimplicialComplex) -> dict:
     return {"n": len(cx.vertices), "facets": [list(f) for f in cx.facets]}
 
@@ -264,12 +277,8 @@ def complex_from_json_dict(data: dict) -> SimplicialComplex:
 
 def complex_dumps(cx: SimplicialComplex) -> str:
     """Canonical (byte-stable) JSON text for a complex."""
-    return json.dumps(complex_to_json_dict(cx), sort_keys=True, separators=(",", ":")) + "\n"
+    return canonical_json(complex_to_json_dict(cx))
 
 
 def complex_loads(text: str) -> SimplicialComplex:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc}") from exc
-    return complex_from_json_dict(data)
+    return complex_from_json_dict(parse_json(text))

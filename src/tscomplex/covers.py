@@ -155,7 +155,12 @@ def friendship_cover_count(n: int) -> int:
             f"closed-form cover count needs n >= 2 (got {n}); at n = 1 the formula "
             "disagrees with enumeration, which is authoritative"
         )
-    return 3 ** (n - 2) * (2 * n * n + 19 * n + 9)
+    return _friendship_cover_formula(n)
+
+
+def _friendship_cover_formula(n: int) -> int:
+    """3^(n-2) (2n² + 19n + 9), written so that it is an integer at n = 1 too."""
+    return (2 * n * n + 19 * n + 9) * 3 ** n // 9
 
 
 def decomposition_to_json_dict(cx: SimplicialComplex, report: CoverReport | None = None) -> dict:

@@ -12,11 +12,10 @@ All values are immutable after construction and safe to share.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import SimplicialComplex, json_int
+from .complexes import SimplicialComplex, canonical_json, json_int, parse_json
 
 
 @dataclass(frozen=True)
@@ -232,12 +231,8 @@ def graph_from_json_dict(data: dict) -> tuple[Graph, TotalLabeling]:
 
 def graph_dumps(g: Graph, labeling: TotalLabeling | None = None) -> str:
     """Canonical (byte-stable) JSON text for a labeled graph."""
-    return json.dumps(graph_to_json_dict(g, labeling), sort_keys=True, separators=(",", ":")) + "\n"
+    return canonical_json(graph_to_json_dict(g, labeling))
 
 
 def graph_loads(text: str) -> tuple[Graph, TotalLabeling]:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc}") from exc
-    return graph_from_json_dict(data)
+    return graph_from_json_dict(parse_json(text))

@@ -13,12 +13,11 @@ exercised by the test suite.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain, combinations
 
-from .complexes import Face, SimplicialComplex
+from .complexes import Face, SimplicialComplex, complex_loads
 from .graphs import Graph, TotalLabeling, total_graph
 
 
@@ -37,17 +36,21 @@ class TotalIndexSet:
 def total_indices(g: Graph, labeling: TotalLabeling) -> TotalIndexSet:
     """Enumerate the total indices of ``g`` under ``labeling``.
 
+    Two pairs of a triple share one label, which is then adjacent to the
+    other two; so the triples are exactly {a} ∪ {b, c} for two total-graph
+    neighbours b, c of a label a, and only those are enumerated.
+
     They form an antichain: the triples are distinct, and an isolated
     vertex is adjacent to nothing in the total graph, so no triple (which
     needs two adjacent pairs) contains its label.
     """
     t = total_graph(g, labeling)
-    adjacent = set(t.edges)
-    triples = set()
-    for a, b, c in combinations(range(1, t.m + 1), 3):
-        pairs = ((a, b) in adjacent) + ((a, c) in adjacent) + ((b, c) in adjacent)
-        if pairs >= 2:  # any two of the three pairs already connect the triple
-            triples.add((a, b, c))
+    neighbours: dict[int, list[int]] = {}
+    for a, b in t.edges:
+        neighbours.setdefault(a, []).append(b)
+        neighbours.setdefault(b, []).append(a)
+    triples = {tuple(sorted((a, b, c)))
+               for a, near in neighbours.items() for b, c in combinations(near, 2)}
     singletons = frozenset((labeling.vertex_label(v),) for v in g.isolated_vertices())
     return TotalIndexSet(triples=frozenset(triples), singletons=singletons)
 
@@ -156,6 +159,4 @@ def c42_fixture() -> SimplicialComplex:
     It is not identical to ``build_tsc(*gen_c42())``: the from-definition
     construction additionally contains the facet {1, 3, 7} (see README).
     """
-    text = resources.files("tscomplex").joinpath("data/c42_facets.json").read_text()
-    data = json.loads(text)
-    return SimplicialComplex.from_facets(data["facets"])
+    return complex_loads(resources.files("tscomplex").joinpath("data/c42_facets.json").read_text())

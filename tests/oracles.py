@@ -9,7 +9,7 @@ from itertools import combinations
 
 import numpy as np
 
-from tscomplex import SimplicialComplex
+from tscomplex import SimplicialComplex, TotalIndexSet, total_graph
 
 
 def brute_force_faces(cx: SimplicialComplex) -> dict[int, list[tuple[int, ...]]]:
@@ -159,3 +159,15 @@ def facet_component_count(cx: SimplicialComplex) -> int:
                 unseen.remove(j)
             stack.extend(linked)
     return components
+
+
+def brute_force_total_indices(g, labeling) -> TotalIndexSet:
+    """Test all C(N, 3) label triples for two adjacent pairs in the total
+    graph; isolated vertices give singletons."""
+    t = total_graph(g, labeling)
+    adjacent = set(t.edges)
+    triples = frozenset(
+        (a, b, c) for a, b, c in combinations(range(1, t.m + 1), 3)
+        if ((a, b) in adjacent) + ((a, c) in adjacent) + ((b, c) in adjacent) >= 2)
+    singletons = frozenset((labeling.vertex_label(v),) for v in g.isolated_vertices())
+    return TotalIndexSet(triples=triples, singletons=singletons)

@@ -1,7 +1,10 @@
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -209,3 +212,144 @@ def test_deep_star_runs_without_traceback(tmp_path, command):
 def test_missing_files_exit_2(runner):
     assert invoke(runner, "tsc", "nope.json").exit_code == 2
     assert invoke(runner, "fvector", "nope.json").exit_code == 2
+
+
+# --- refusals: the CLI exits 0, 2 or 3 and never shows a traceback -----------
+
+OUT_COMMANDS = [
+    ["gen", "c42"],
+    ["tsc", "GRAPH"],
+    ["fvector", "c42-fixture"],
+    ["homology", "c42-fixture", "--field", "gf:2"],
+    ["check", "cm", "c42-fixture"],
+    ["covers", "c42-fixture"],
+    ["decompose", "c42-fixture"],
+    ["verify-friendship", "--n-max", "1"],
+]
+
+
+def _assert_refused(result):
+    assert result.exit_code == 2, result.output
+    assert len(_error_lines(result)) == 1, result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("args", OUT_COMMANDS, ids=lambda args: args[0])
+@pytest.mark.parametrize("target", ["missing-parent", "directory"])
+def test_unwritable_out_exits_2_with_one_line(runner, tmp_path, args, target):
+    graph = tmp_path / "g.json"
+    graph.write_text('{"edges": [[1, 2]], "m": 2}')
+    out = tmp_path / "no" / "such" / "x.json" if target == "missing-parent" else tmp_path
+    args = [str(graph) if a == "GRAPH" else a for a in args]
+    _assert_refused(invoke(runner, *args, "--out", str(out)))
+
+
+@pytest.mark.parametrize("command", ["tsc", "fvector"])
+def test_deeply_nested_json_exits_2_with_one_line(runner, tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    result = invoke(runner, command, str(path))
+    _assert_refused(result)
+    assert "invalid JSON" in _error_lines(result)[0]
+
+
+def _random_json(rng, depth=0):
+    kind = rng.randrange(7 if depth < 2 else 4)
+    if kind == 0:
+        return rng.choice([None, True, False])
+    if kind == 1:
+        return rng.randrange(-2, 9)
+    if kind == 2:
+        return rng.choice([0.5, -1.0, 2.0])
+    if kind == 3:
+        return rng.choice(["", "x", "1", "v1", "e1"])
+    if kind in (4, 5):
+        return [_random_json(rng, depth + 1) for _ in range(rng.randrange(4))]
+    keys = ["m", "edges", "labels", "n", "facets", "v1", "e1"]
+    return {k: _random_json(rng, depth + 1) for k in rng.sample(keys, rng.randrange(4))}
+
+
+def _random_graph_dict(rng):
+    m = rng.randrange(1, 9)
+    pairs = [list(p) for p in combinations(range(1, m + 1), 2)]
+    edges = rng.sample(pairs, min(len(pairs), rng.randrange(6)))
+    keys = [f"v{i}" for i in range(1, m + 1)] + [f"e{k}" for k in range(1, len(edges) + 1)]
+    labels = dict(zip(keys, rng.sample(range(1, len(keys) + 1), len(keys))))
+    return {"m": m, "edges": edges, "labels": labels}
+
+
+def _random_complex_dict(rng):
+    facets = [rng.sample(range(1, 50), rng.randrange(1, 5)) for _ in range(rng.randrange(1, 7))]
+    return {"facets": facets}
+
+
+def _corrupt(rng, data):
+    """One malformed variant of a graph or complex dict."""
+    data = json.loads(json.dumps(data))
+    way = rng.randrange(4)
+    if way == 0:  # a field of the wrong type
+        data[rng.choice(sorted(data))] = _random_json(rng, 1)
+    elif way == 1:  # a repeated vertex
+        rows = data.get("edges") or data.get("facets")
+        if rows:
+            row = rng.choice(rows)
+            row.append(row[0])
+    elif way == 2 and "labels" in data:  # a bad, missing or extra label
+        key = rng.choice(sorted(data["labels"]) + ["v99", "x"])
+        data["labels"][key] = rng.choice([0, -1, 49, 1, 2.5, "1", None])
+        if rng.random() < 0.3:
+            del data["labels"][key]
+    elif way == 3:  # a wrong vertex count
+        data["n" if "facets" in data else "m"] = rng.randrange(0, 9)
+    return data
+
+
+FIELDS = ["q", "Q", "gf:2", "gf:3", "gf:4", "gf:", "gf:-7", "gf:1", "gf:0", "gf:x", "gf:2^3",
+          "zz", " gf:5 ", "gf:32003", f"gf:{2 ** 64 + 13}", f"gf:{2 ** 64 - 59}"]
+
+
+def _malformed_invocation(rng, path):
+    """An argument list and the text of the input file it reads."""
+    is_graph = rng.random() < 0.3
+    data = _random_graph_dict(rng) if is_graph else _random_complex_dict(rng)
+    style = rng.randrange(4)
+    if style == 0:
+        text = json.dumps(_random_json(rng))
+    elif style == 1:
+        full = json.dumps(data)
+        text = full[:rng.randrange(len(full))]
+    else:
+        text = json.dumps(_corrupt(rng, data) if style == 2 else data)
+    if is_graph:
+        return ["tsc", str(path)], text
+    command = rng.choice(["fvector", "homology", "check", "covers", "decompose"])
+    args = [command]
+    if command == "check":
+        kind = rng.choice(["cm", "buchsbaum", "cmt"])
+        args.append(kind)
+        if kind == "cmt" or rng.random() < 0.2:
+            args += ["--t", str(rng.randrange(-2, 6))]
+    args.append(str(path))
+    if command in ("homology", "check"):
+        args += ["--field", rng.choice(FIELDS)]
+    if command in ("check", "covers") and rng.random() < 0.5:
+        args.append("--assert")
+    if rng.random() < 0.5:
+        args += ["--format", "json"]
+    return args, text
+
+
+def test_malformed_inputs_never_show_a_traceback(runner, tmp_path):
+    rng = random.Random(2024)
+    path = tmp_path / "input.json"
+    codes = Counter()
+    for _ in range(240):
+        args, text = _malformed_invocation(rng, path)
+        path.write_text(text)
+        result = invoke(runner, *args)  # an uncaught exception fails the test here
+        assert result.exit_code in (0, 2, 3), (args, text, result.output)
+        assert "Traceback" not in result.output, (args, text)
+        if result.exit_code == 2:
+            assert len(_error_lines(result)) == 1, (args, text, result.output)
+        codes[result.exit_code] += 1
+    assert codes[0] >= 20 and codes[2] >= 60 and codes[3] >= 5, codes

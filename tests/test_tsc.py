@@ -18,6 +18,7 @@ from tscomplex import (
     total_indices,
 )
 from conftest import all_labeled_graphs, tsc_of
+from oracles import brute_force_total_indices
 
 
 def test_total_indices_k2():
@@ -103,6 +104,29 @@ def test_build_tsc_equals_validated_construction():
         for lab in (default_labeling(g), shuffled):
             expected = SimplicialComplex.from_facets(total_indices(g, lab).all()).facets
             assert build_tsc(g, lab).facets == expected, (g.m, g.edges, lab)
+
+
+def test_total_indices_match_triple_scan():
+    rng = random.Random(11)
+    cases = [gen_c42()]
+    for g in all_labeled_graphs(5):
+        labels = list(range(1, g.m + g.edge_count + 1))
+        rng.shuffle(labels)
+        cases += [(g, default_labeling(g)),
+                  (g, TotalLabeling(tuple(labels[:g.m]), tuple(labels[g.m:])))]
+    for g, lab in cases:
+        assert total_indices(g, lab) == brute_force_total_indices(g, lab), (g.m, g.edges, lab)
+
+
+def test_build_tsc_scales_to_path_400():
+    # the path on m vertices has 8m - 16 total indices, all triples (m >= 3);
+    # a scan of all C(2m - 1, 3) label triples takes tens of seconds here
+    m = 400
+    g = graph_from_edge_list(m, [(i, i + 1) for i in range(1, m)])
+    start = time.perf_counter()
+    cx = build_tsc(g, default_labeling(g))
+    assert time.perf_counter() - start < 1.0
+    assert len(cx.facets) == 8 * m - 16
 
 
 def test_closed_form_rejects_n0():
