@@ -13,6 +13,12 @@ with ∅ last; the first face that fails is the witness.  The walk stops below
 t vertices and skips every face with at least dim vertices before building
 its link: such a link has dimension at most 0 and passes vacuously.
 Reduced homology in dimension -1 is never consulted.
+
+The link of σ has dimension at most dim - #σ, so on a 2-dimensional complex
+(the TSC of any graph with an edge) each vertex link is a graph: the only
+degree below its dimension is H̃0, which :func:`homology_summary` reads off a
+component count without elimination.  Only the link at ∅, the complex
+itself, ranks boundary matrices (∂1 and ∂2).
 """
 
 from __future__ import annotations

@@ -75,7 +75,7 @@ def _antichain(faces: set[Face]) -> tuple[Face, ...]:
 class SimplicialComplex:
     """An abstract simplicial complex given by its facet antichain."""
 
-    __slots__ = ("_facets", "_vertices", "_faces_by_dim", "_masks")
+    __slots__ = ("_facets", "_vertices", "_dim", "_faces_by_dim", "_masks")
 
     def __init__(self, facets):
         """Validating constructor: ``facets`` may be any generating family of
@@ -99,6 +99,7 @@ class SimplicialComplex:
     def _set_facets(self, facets: tuple[Face, ...]) -> None:
         self._facets = facets
         self._vertices = tuple(sorted({v for f in facets for v in f}))
+        self._dim = max(map(len, facets)) - 1
         self._faces_by_dim = None
         self._masks = None
 
@@ -129,7 +130,7 @@ class SimplicialComplex:
         return self._vertices
 
     def dimension(self) -> int:
-        return max(len(f) for f in self._facets) - 1
+        return self._dim
 
     def is_pure(self) -> bool:
         sizes = {len(f) for f in self._facets}
@@ -170,30 +171,29 @@ class SimplicialComplex:
         faces = self.all_faces()
         return tuple(len(faces[k]) for k in range(self.dimension() + 1))
 
+    def component_count(self) -> int:
+        """The number of connected components: a union-find on the vertices
+        merges the roots of each facet's vertices.  {∅} has none."""
+        parent = {v: v for v in self._vertices}
+        components = len(parent)
+        for facet in self._facets:
+            roots = set()
+            for v in facet:
+                while parent[v] != v:  # path halving: point v at its grandparent, then step there
+                    parent[v] = v = parent[parent[v]]
+                roots.add(v)
+            if len(roots) > 1:
+                root = roots.pop()
+                for other in roots:
+                    parent[other] = root
+                components -= len(roots)
+        return components
+
     def is_facet_connected(self) -> bool:
         """True iff any two facets are joined by a chain of facets with
-        consecutive non-empty intersections."""
-        if len(self._facets) <= 1:
-            return True
-        parent = list(range(len(self._facets)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        first_with: dict[int, int] = {}
-        for idx, facet in enumerate(self._facets):
-            for v in facet:
-                if v in first_with:
-                    ri, rj = find(idx), find(first_with[v])
-                    if ri != rj:
-                        parent[ri] = rj
-                else:
-                    first_with[v] = idx
-        root = find(0)
-        return all(find(i) == root for i in range(len(self._facets)))
+        consecutive non-empty intersections, that is, iff there is at most
+        one facet or the vertices form one component."""
+        return len(self._facets) <= 1 or self.component_count() == 1
 
     def link(self, face) -> "SimplicialComplex":
         """The link at ``face``: all faces disjoint from it whose union with

@@ -17,6 +17,12 @@ from itertools import combinations
 
 from .complexes import SimplicialComplex, canonical_json, json_int, parse_json
 
+#: The most vertices a :class:`Graph` may have.  The constructor refuses a
+#: larger ``m`` before it reads an edge, so library calls, graph JSON and
+#: ``gen`` share the cap.  A total graph has one vertex per label, so it
+#: bounds the label count N = m + |E| of a TSC too.
+MAX_VERTICES = 100_000
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -28,6 +34,8 @@ class Graph:
     def __init__(self, m: int, edges=()):
         if m < 1:
             raise ValueError(f"vertex count must be positive, got {m}")
+        if m > MAX_VERTICES:
+            raise ValueError(f"a graph may have at most {MAX_VERTICES} vertices, got {m}")
         seen = set()
         canon = []
         for pair in edges:
@@ -117,19 +125,19 @@ def gen_friendship(n: int) -> tuple[Graph, TotalLabeling]:
     if n < 1:
         raise ValueError(f"friendship graph needs n >= 1 triangles, got {n}")
     center = 2 * n + 1
-    edges = []
+    # The edges are a generator, so Graph refuses an oversized n before any are made.
+    g = Graph(center, (e for a in range(1, center, 2)
+                       for e in ((a, a + 1), (a, center), (a + 1, center))))
     label_of_edge = {}
     vertex_labels = [0] * center
     for k in range(1, n + 1):
         a, b = 2 * k - 1, 2 * k
         vertex_labels[a - 1] = 3 * k - 2
         vertex_labels[b - 1] = 3 * k
-        edges += [(a, b), (a, center), (b, center)]
         label_of_edge[(a, b)] = 3 * k - 1
         label_of_edge[(a, center)] = 3 * n + 2 * k - 1
         label_of_edge[(b, center)] = 3 * n + 2 * k
     vertex_labels[center - 1] = 5 * n + 1
-    g = Graph(center, edges)
     labeling = TotalLabeling(
         vertex_labels=tuple(vertex_labels),
         edge_labels=tuple(label_of_edge[e] for e in g.edges),
@@ -172,17 +180,18 @@ def total_graph(g: Graph, labeling: TotalLabeling) -> Graph:
             f"labeling has {len(labeling.vertex_labels)} vertex and "
             f"{len(labeling.edge_labels)} edge labels; graph has {g.m} and {g.edge_count}"
         )
-    n_labels = labeling.label_count
-    t_edges = set()
-    for k, (u, v) in enumerate(g.edges, start=1):
-        lu, lv, le = labeling.vertex_label(u), labeling.vertex_label(v), labeling.edge_label(k)
-        t_edges.add(tuple(sorted((lu, lv))))   # adjacent vertices
-        t_edges.add(tuple(sorted((lu, le))))   # incidences
-        t_edges.add(tuple(sorted((lv, le))))
-    for (j, e), (k, f) in combinations(enumerate(g.edges, start=1), 2):
-        if set(e) & set(f):                    # edges sharing an endpoint
-            t_edges.add(tuple(sorted((labeling.edge_label(j), labeling.edge_label(k)))))
-    return Graph(n_labels, sorted(t_edges))
+
+    def adjacent_pairs():
+        for k, (u, v) in enumerate(g.edges, start=1):
+            lu, lv, le = labeling.vertex_label(u), labeling.vertex_label(v), labeling.edge_label(k)
+            yield from ((lu, lv), (lu, le), (lv, le))   # adjacent vertices, incidences
+        for (j, e), (k, f) in combinations(enumerate(g.edges, start=1), 2):
+            if set(e) & set(f):                          # edges sharing an endpoint
+                yield labeling.edge_label(j), labeling.edge_label(k)
+
+    # Vertex and edge labels are disjoint, so the pairs are distinct; Graph
+    # checks the label count against the cap before it draws the first one.
+    return Graph(labeling.label_count, adjacent_pairs())
 
 
 def is_connected(g: Graph) -> bool:

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -19,6 +20,19 @@ def all_labeled_graphs(max_m):
         pairs = list(combinations(range(1, m + 1), 2))
         for bits in range(1 << len(pairs)):
             yield graph_from_edge_list(m, [p for i, p in enumerate(pairs) if bits >> i & 1])
+
+
+def random_complexes(count, seed):
+    """Complexes on at most 9 vertices, each from 1..8 generators of at most
+    4 vertices.  Few generators on many vertices leave many disconnected;
+    many generators give impure complexes with links whose dimension falls
+    below dim - #face, where that bound and the link's own one differ."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 9)
+        yield SimplicialComplex.from_facets(
+            rng.sample(range(1, n + 1), rng.randint(1, min(4, n)))
+            for _ in range(rng.randint(1, 8)))
 
 
 def tsc_of(g):

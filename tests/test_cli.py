@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
@@ -106,6 +107,18 @@ def test_non_integer_json_exits_2_with_one_line(runner, tmp_path, command, text)
     assert result.exit_code == 2
     errors = _error_lines(result)
     assert len(errors) == 1 and "must be an integer" in errors[0]
+    assert "Traceback" not in result.output
+
+
+def test_oversized_graph_is_refused_before_allocating(runner, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"m": 1000000000, "edges": []}')
+    start = time.perf_counter()
+    result = invoke(runner, "tsc", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 2
+    errors = _error_lines(result)
+    assert len(errors) == 1 and "at most 100000 vertices" in errors[0]
     assert "Traceback" not in result.output
 
 

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from tscomplex import (
@@ -21,7 +19,7 @@ from tscomplex import (
     tsc_cm_shortcut,
     vertex_links_connected,
 )
-from conftest import all_labeled_graphs, tsc_of
+from conftest import all_labeled_graphs, random_complexes, tsc_of
 from oracles import brute_force_cm_witness, facet_component_count
 
 
@@ -112,19 +110,6 @@ def test_cm_t0_agrees_with_reisner_on_pure_complexes(corpus):
             assert is_cm(cx) == is_cm_t(cx, 0), name
 
 
-def _random_complexes(count, seed):
-    """Complexes on at most 9 vertices, each from 1..8 generators of at most
-    4 vertices.  Few generators on many vertices leave many disconnected;
-    many generators give impure complexes with links whose dimension falls
-    below dim - #face, where that bound and the link's own one differ."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        n = rng.randint(1, 9)
-        yield SimplicialComplex.from_facets(
-            rng.sample(range(1, n + 1), rng.randint(1, min(4, n)))
-            for _ in range(rng.randint(1, 8)))
-
-
 def _oracle_report(cx, t=0):
     found = brute_force_cm_witness(cx.facets, t)
     witness = None if found is None else CmWitness(*found)
@@ -133,7 +118,7 @@ def _oracle_report(cx, t=0):
 
 def test_reports_match_brute_force_reisner_on_random_complexes():
     q = Rationals()
-    complexes = list(_random_complexes(250, seed=1))
+    complexes = list(random_complexes(250, seed=1))
     assert sum(not cx.is_pure() for cx in complexes) >= 30
     assert sum(facet_component_count(cx) > 1 for cx in complexes) >= 30
     for cx in complexes:

@@ -87,6 +87,20 @@ def test_facet_connectivity(corpus):
     assert corpus["tsc_f1"].is_facet_connected()
     assert not corpus["two_disjoint_edges"].is_facet_connected()
     assert not corpus["two_points"].is_facet_connected()
+    assert SimplicialComplex.empty().is_facet_connected()
+    assert SimplicialComplex.from_facets([(1, 2, 3)]).is_facet_connected()
+
+
+def test_component_count_matches_bfs_oracle(corpus):
+    families = list(_random_families(300, seed=11))
+    complexes = [SimplicialComplex(gens) for gens in families] + list(corpus.values())
+    complexes = [cx for cx in complexes if cx.dimension() >= 0]   # {∅} is checked below
+    assert sum(any(len(f) == 1 for f in cx.facets) for cx in complexes) >= 30
+    assert sum(facet_component_count(cx) > 1 for cx in complexes) >= 15
+    for cx in complexes:
+        assert cx.component_count() == facet_component_count(cx), cx
+        assert cx.is_facet_connected() == (facet_component_count(cx) <= 1), cx
+    assert SimplicialComplex.empty().component_count() == 0
 
 
 def test_link_of_vertex_in_simplex():

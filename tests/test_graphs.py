@@ -1,9 +1,12 @@
 import math
+import time
+from itertools import combinations
 
 import pytest
 
 from tscomplex import (
     TotalLabeling,
+    build_tsc,
     default_labeling,
     gen_c42,
     gen_friendship,
@@ -13,6 +16,7 @@ from tscomplex import (
     is_connected,
     total_graph,
 )
+from tscomplex.graphs import MAX_VERTICES
 from conftest import all_labeled_graphs
 
 
@@ -43,6 +47,21 @@ def test_from_edge_list_rejects_bad_input(pairs):
 def test_rejects_empty_vertex_set():
     with pytest.raises(ValueError):
         graph_from_edge_list(0, [])
+
+
+def test_vertex_cap_is_checked_before_any_edge():
+    assert graph_from_edge_list(MAX_VERTICES, [(1, 2)]).m == MAX_VERTICES
+    with pytest.raises(ValueError, match="at most"):
+        graph_from_edge_list(MAX_VERTICES + 1, [])
+    with pytest.raises(ValueError, match="at most"):
+        gen_friendship(10 ** 9)
+    # the total graph has one vertex per label, m + |E| = 101,475 here, and is
+    # refused before any of its ~5 * 10^9 edge pairs is scanned
+    k450 = graph_from_edge_list(450, combinations(range(1, 451), 2))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="at most"):
+        build_tsc(k450, default_labeling(k450))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_default_labeling_small():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import tscomplex
+import tscomplex.homology
 from tscomplex import (
     PrimeField,
     Rationals,
@@ -18,9 +19,11 @@ from tscomplex import (
     export_triplets,
     gen_friendship,
     homology_summary,
+    is_cm_t,
     matrix_rank,
     parse_field,
 )
+from conftest import all_labeled_graphs, random_complexes, tsc_of
 from oracles import brute_force_reduced_betti, sparse_product
 
 
@@ -185,6 +188,32 @@ def test_field_independence_on_corpus(corpus):
         bq = homology_summary(cx, Rationals()).betti
         bp = homology_summary(cx, PrimeField(32003)).betti
         assert bq == bp, f"field-dependent Betti numbers on {name}: {bq} vs {bp}"
+
+
+def test_rank_d1_from_components_equals_elimination(corpus):
+    vertex_links = dict.fromkeys(cx.link((v,)) for g in all_labeled_graphs(5)
+                                 for cx in [tsc_of(g)] for v in cx.vertices)
+    complexes = [*corpus.values(), *vertex_links, *random_complexes(300, seed=5)]
+    complexes = [cx for cx in complexes if cx.dimension() >= 1]
+    assert sum(cx.component_count() > 1 for cx in complexes) >= 25
+    assert sum(cx.dimension() == 1 for cx in complexes) >= 100
+    for cx in complexes:
+        d1 = boundary_matrix(cx, 1)
+        for field in (Rationals(), PrimeField(2), PrimeField(32003)):
+            rank = matrix_rank(d1, field)
+            assert cx.f_vector()[0] - cx.component_count() == rank, (field, cx)
+            assert homology_summary(cx, field).rank_im[1] == rank, (field, cx)
+
+
+def test_graphs_and_vertex_links_need_no_elimination(monkeypatch):
+    def refuse(mat, field):
+        raise AssertionError("a 1-dimensional complex was eliminated")
+
+    monkeypatch.setattr(tscomplex.homology, "matrix_rank", refuse)
+    assert is_cm_t(build_tsc(*gen_friendship(3)), 1).verdict
+    triangle_and_point = SimplicialComplex.from_facets([(1, 2), (1, 3), (2, 3), (4,)])
+    summary = homology_summary(triangle_and_point, Rationals())
+    assert (summary.rank_im, summary.reduced_betti) == ((0, 2), (1, 1))
 
 
 def test_euler_characteristic(corpus):
