@@ -27,7 +27,6 @@ from .covers import (
     PrimeComponent,
     facet_ideal_decomposition,
     friendship_cover_count,
-    is_unmixed,
     minimal_vertex_covers,
     stanley_reisner_generators,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "is_cm",
     "is_cm_t",
     "is_connected",
-    "is_unmixed",
     "matrix_rank",
     "minimal_vertex_covers",
     "parse_field",

@@ -167,7 +167,13 @@ class SimplicialComplex:
         return self._facets_through(_as_face(face)) != 0
 
     def f_vector(self) -> tuple[int, ...]:
-        """(alpha_0, ..., alpha_dim): face counts per dimension."""
+        """(alpha_0, ..., alpha_dim): face counts per dimension.
+
+        A 1-dimensional complex is a graph, each of whose edges is a facet,
+        so its counts are read off the facets without listing the faces.
+        """
+        if self._dim == 1:
+            return len(self._vertices), sum(len(f) == 2 for f in self._facets)
         faces = self.all_faces()
         return tuple(len(faces[k]) for k in range(self.dimension() + 1))
 

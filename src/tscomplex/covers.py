@@ -1,4 +1,5 @@
-"""Minimal vertex covers, unmixedness, and squarefree ideal decompositions.
+"""Minimal vertex covers, unmixedness, squarefree ideal decompositions, and
+Stanley-Reisner generators.
 
 A vertex cover of a complex meets every facet; the minimal ones are the
 minimal transversals of the facet hypergraph.  They are enumerated by MMCS
@@ -13,14 +14,16 @@ the cover size, not by the interpreter's recursion limit.
 
 The minimal primes of the facet ideal correspond one-to-one to the minimal
 vertex covers, so the primary decomposition is read off the cover list.
-Minimal non-faces (the Stanley-Reisner generators) are found by direct
-search up to size dim + 2, the largest size a minimal non-face can have.
+The same search finds the minimal non-faces (the Stanley-Reisner
+generators): a vertex set is a non-face iff it lies in no facet, that is,
+iff it meets the complement V ∖ F of every facet F, so the minimal
+non-faces are the minimal transversals of the facet complements (Miller &
+Sturmfels, "Combinatorial Commutative Algebra", 2005, ch. 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .complexes import Face, SimplicialComplex, vertex_masks
 
@@ -106,11 +109,6 @@ def minimal_vertex_covers(cx: SimplicialComplex) -> CoverReport:
     )
 
 
-def is_unmixed(cx: SimplicialComplex) -> bool:
-    """True iff all minimal vertex covers share one cardinality."""
-    return minimal_vertex_covers(cx).unmixed
-
-
 def facet_ideal_decomposition(cx: SimplicialComplex,
                               report: CoverReport | None = None) -> list[PrimeComponent]:
     """The minimal primes of the facet ideal, one per minimal vertex cover,
@@ -120,21 +118,15 @@ def facet_ideal_decomposition(cx: SimplicialComplex,
 
 
 def stanley_reisner_generators(cx: SimplicialComplex) -> list[Face]:
-    """All inclusion-minimal non-faces over the complex's vertex set.
+    """All inclusion-minimal non-faces over the complex's vertex set, in
+    canonical order: the minimal transversals of the facet complements.
 
-    A minimal non-face has every proper subset a face, so its size is at
-    most dim + 2; singletons are faces by construction, so the search starts
-    at pairs.
+    A facet holding every vertex has an empty complement, which nothing
+    meets, so such a complex (a simplex, or {∅}) has no minimal non-face.
     """
-    faces = {face for group in cx.all_faces().values() for face in group}
-    generators: list[Face] = []
-    for size in range(2, cx.dimension() + 3):
-        for cand in combinations(cx.vertices, size):
-            if cand in faces:
-                continue
-            if all(cand[:i] + cand[i + 1:] in faces for i in range(size)):
-                generators.append(cand)
-    return sorted(generators)
+    vertices = set(cx.vertices)
+    complements = tuple(tuple(sorted(vertices.difference(f))) for f in cx.facets)
+    return sorted(_minimal_transversals(complements))
 
 
 def friendship_cover_count(n: int) -> int:

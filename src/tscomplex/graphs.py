@@ -182,15 +182,18 @@ def total_graph(g: Graph, labeling: TotalLabeling) -> Graph:
         )
 
     def adjacent_pairs():
+        incident: list[list[int]] = [[] for _ in range(g.m + 1)]
         for k, (u, v) in enumerate(g.edges, start=1):
             lu, lv, le = labeling.vertex_label(u), labeling.vertex_label(v), labeling.edge_label(k)
             yield from ((lu, lv), (lu, le), (lv, le))   # adjacent vertices, incidences
-        for (j, e), (k, f) in combinations(enumerate(g.edges, start=1), 2):
-            if set(e) & set(f):                          # edges sharing an endpoint
-                yield labeling.edge_label(j), labeling.edge_label(k)
+            incident[u].append(le)
+            incident[v].append(le)
+        for labels in incident:                          # edges sharing an endpoint
+            yield from combinations(labels, 2)
 
-    # Vertex and edge labels are disjoint, so the pairs are distinct; Graph
-    # checks the label count against the cap before it draws the first one.
+    # Vertex and edge labels are disjoint, and two edges of a simple graph
+    # share at most one endpoint, so the pairs are distinct; Graph checks the
+    # label count against the cap before it draws the first one.
     return Graph(labeling.label_count, adjacent_pairs())
 
 

@@ -9,15 +9,16 @@ from itertools import combinations
 
 import numpy as np
 
-from tscomplex import SimplicialComplex, TotalIndexSet, total_graph
+from tscomplex import Graph, SimplicialComplex, TotalIndexSet
 
 
 def brute_force_faces(cx: SimplicialComplex) -> dict[int, list[tuple[int, ...]]]:
-    """Test every non-empty subset of the vertex set for membership."""
+    """Test every non-empty subset of the vertex set for membership; a subset
+    larger than every facet lies in none, so sizes stop at the largest."""
     verts = cx.vertices
     facet_sets = [set(f) for f in cx.facets]
     grouped: dict[int, list[tuple[int, ...]]] = {}
-    for size in range(1, len(verts) + 1):
+    for size in range(1, max(map(len, facet_sets)) + 1):
         for cand in combinations(verts, size):
             if any(set(cand) <= fs for fs in facet_sets):
                 grouped.setdefault(size - 1, []).append(cand)
@@ -161,13 +162,49 @@ def facet_component_count(cx: SimplicialComplex) -> int:
     return components
 
 
+def brute_force_total_graph(g, labeling) -> Graph:
+    """Test every pair of labels against the definition of the total graph:
+    two vertices joined by an edge, two edges with a common endpoint, or a
+    vertex and an edge through it."""
+    objects = {labeling.vertex_label(i): frozenset({i}) for i in range(1, g.m + 1)}
+    objects.update({labeling.edge_label(k): frozenset(e) for k, e in enumerate(g.edges, start=1)})
+    edges = {frozenset(e) for e in g.edges}
+
+    def adjacent(a, b):
+        x, y = objects[a], objects[b]
+        if len(x) == len(y) == 1:                 # two vertices
+            return x | y in edges
+        return bool(x & y)                        # two edges, or a vertex and an edge
+
+    n = labeling.label_count
+    return Graph(n, [(a, b) for a, b in combinations(range(1, n + 1), 2) if adjacent(a, b)])
+
+
 def brute_force_total_indices(g, labeling) -> TotalIndexSet:
     """Test all C(N, 3) label triples for two adjacent pairs in the total
     graph; isolated vertices give singletons."""
-    t = total_graph(g, labeling)
+    t = brute_force_total_graph(g, labeling)
     adjacent = set(t.edges)
     triples = frozenset(
         (a, b, c) for a, b, c in combinations(range(1, t.m + 1), 3)
         if ((a, b) in adjacent) + ((a, c) in adjacent) + ((b, c) in adjacent) >= 2)
     singletons = frozenset((labeling.vertex_label(v),) for v in g.isolated_vertices())
     return TotalIndexSet(triples=triples, singletons=singletons)
+
+
+def brute_force_minimal_nonfaces(cx: SimplicialComplex) -> list[tuple[int, ...]]:
+    """All inclusion-minimal non-faces over the complex's vertex set.
+
+    A minimal non-face has every proper subset a face, so its size is at
+    most dim + 2; singletons are faces by construction, so the search starts
+    at pairs.
+    """
+    faces = {face for group in cx.all_faces().values() for face in group}
+    generators: list[tuple[int, ...]] = []
+    for size in range(2, cx.dimension() + 3):
+        for cand in combinations(cx.vertices, size):
+            if cand in faces:
+                continue
+            if all(cand[:i] + cand[i + 1:] in faces for i in range(size)):
+                generators.append(cand)
+    return sorted(generators)

@@ -15,7 +15,7 @@ from tscomplex import (
     is_cm,
     is_cm_t,
     is_connected,
-    is_unmixed,
+    minimal_vertex_covers,
     tsc_cm_shortcut,
     vertex_links_connected,
 )
@@ -59,7 +59,7 @@ def test_c42_fixture_is_cm_but_not_unmixed(c42_fix):
     for field in (PrimeField(32003), Rationals(), PrimeField(2)):
         report = is_cm(c42_fix, field)
         assert report.verdict and report.witness is None
-    assert not is_unmixed(c42_fix)
+    assert not minimal_vertex_covers(c42_fix).unmixed
 
 
 def test_report_json_shape(corpus):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from tscomplex import SimplicialComplex, complex_dumps, complex_loads
+from conftest import all_labeled_graphs, random_complexes, tsc_of
 from oracles import brute_force_antichain, brute_force_faces, facet_component_count
 
 
@@ -74,6 +75,16 @@ def test_f_vector_examples(corpus):
     assert corpus["tsc_f1"].f_vector() == (6, 15, 20)
     assert corpus["tsc_f2"].f_vector() == (11, 50, 76)
     assert len(corpus["tsc_f1"].faces(1)) == 15
+
+
+def test_f_vector_of_graphs_matches_brute_force():
+    vertex_links = dict.fromkeys(cx.link((v,)) for g in all_labeled_graphs(5)
+                                 for cx in [tsc_of(g)] for v in cx.vertices)
+    complexes = [*vertex_links, *random_complexes(300, seed=5)]
+    assert sum(cx.dimension() == 1 for cx in complexes) >= 100
+    for cx in complexes:
+        counts = brute_force_faces(cx)
+        assert cx.f_vector() == tuple(len(counts[k]) for k in range(cx.dimension() + 1)), cx
 
 
 def test_dimension_and_purity(corpus):

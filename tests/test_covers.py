@@ -10,12 +10,12 @@ from tscomplex import (
     facet_ideal_decomposition,
     friendship_cover_count,
     gen_friendship,
-    is_unmixed,
     minimal_vertex_covers,
     stanley_reisner_generators,
 )
 from tscomplex.covers import decomposition_text
-from oracles import brute_force_minimal_covers
+from conftest import all_labeled_graphs, random_complexes, tsc_of
+from oracles import brute_force_minimal_covers, brute_force_minimal_nonfaces
 
 
 def test_covers_of_one_triangle():
@@ -74,9 +74,9 @@ def test_friendship_closed_form_matches_cardinality_census(friendship_covers):
 
 
 def test_is_unmixed_examples(corpus):
-    assert not is_unmixed(corpus["c42_fixture"])
-    assert is_unmixed(corpus["tsc_f1"])
-    assert is_unmixed(corpus["segment"])
+    assert not minimal_vertex_covers(corpus["c42_fixture"]).unmixed
+    assert minimal_vertex_covers(corpus["tsc_f1"]).unmixed
+    assert minimal_vertex_covers(corpus["segment"]).unmixed
 
 
 def test_every_cover_covers_and_is_irredundant(corpus):
@@ -178,6 +178,17 @@ def test_stanley_reisner_generators_f1(tsc_friendship):
 def test_stanley_reisner_generators_of_disjoint_points():
     cx = SimplicialComplex.from_facets([(1,), (2,)])
     assert stanley_reisner_generators(cx) == [(1, 2)]
+
+
+def test_stanley_reisner_generators_match_brute_force(tsc_friendship, c42_built, c42_fix):
+    complexes = [*random_complexes(300, seed=5), *(tsc_of(g) for g in all_labeled_graphs(5))]
+    complexes += [tsc_friendship[n] for n in (1, 2, 3)]
+    complexes += [build_tsc(*gen_friendship(n)) for n in (4, 5, 6)]
+    complexes += [c42_built, c42_fix, SimplicialComplex.empty(),
+                  SimplicialComplex.from_facets([(1, 2, 3, 4, 5)]),
+                  SimplicialComplex.from_facets([(9, 1, 2), (9, 2, 3), (9, 3, 4), (9, 5)])]
+    for cx in complexes:
+        assert stanley_reisner_generators(cx) == brute_force_minimal_nonfaces(cx), cx.facets
 
 
 def test_friendship_cover_count_values():

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from itertools import combinations
 
@@ -18,6 +19,7 @@ from tscomplex import (
 )
 from tscomplex.graphs import MAX_VERTICES
 from conftest import all_labeled_graphs
+from oracles import brute_force_total_graph
 
 
 def test_from_edge_list_canonical_order():
@@ -164,6 +166,27 @@ def test_total_graph_edge_count_formula_on_corpus():
     for g in graphs:
         t = total_graph(g, default_labeling(g))
         assert t.edge_count == _expected_total_edge_count(g)
+
+
+def test_total_graph_matches_definition():
+    rng = random.Random(12)
+    cases = [gen_c42()] + [gen_friendship(n) for n in (1, 2, 3, 4)]
+    for g in all_labeled_graphs(5):
+        labels = list(range(1, g.m + g.edge_count + 1))
+        rng.shuffle(labels)
+        cases.append((g, TotalLabeling(tuple(labels[:g.m]), tuple(labels[g.m:]))))
+    for g, lab in cases:
+        assert total_graph(g, lab) == brute_force_total_graph(g, lab), (g.m, g.edges, lab)
+
+
+def test_total_graph_of_path_4000_is_fast():
+    # a scan of every pair of the 3,999 edges takes seconds here
+    m = 4000
+    g = graph_from_edge_list(m, [(i, i + 1) for i in range(1, m)])
+    start = time.perf_counter()
+    t = total_graph(g, default_labeling(g))
+    assert time.perf_counter() - start < 1.0
+    assert t.m == 2 * m - 1 and t.edge_count == 3 * (m - 1) + (m - 2)
 
 
 def test_generator_labelings_are_bijections():

@@ -216,6 +216,16 @@ def test_graphs_and_vertex_links_need_no_elimination(monkeypatch):
     assert (summary.rank_im, summary.reduced_betti) == ((0, 2), (1, 1))
 
 
+def test_graph_homology_lists_no_faces(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the faces of a 1-dimensional complex were listed")
+
+    monkeypatch.setattr(SimplicialComplex, "all_faces", refuse)
+    triangle_and_point = SimplicialComplex.from_facets([(1, 2), (1, 3), (2, 3), (4,)])
+    summary = homology_summary(triangle_and_point, Rationals())
+    assert (summary.alpha, summary.reduced_betti) == ((4, 3), (1, 1))
+
+
 def test_euler_characteristic(corpus):
     assert euler_characteristic(corpus["point"]) == 1
     assert euler_characteristic(corpus["hollow_triangle"]) == 0
