@@ -18,9 +18,7 @@ from .complexes import (
     Face,
     SimplicialComplex,
     complex_dumps,
-    complex_from_json_dict,
     complex_loads,
-    complex_to_json_dict,
 )
 from .covers import (
     CoverReport,
@@ -37,10 +35,7 @@ from .graphs import (
     gen_c42,
     gen_friendship,
     graph_dumps,
-    graph_from_edge_list,
-    graph_from_json_dict,
     graph_loads,
-    graph_to_json_dict,
     is_connected,
     total_graph,
 )
@@ -88,9 +83,7 @@ __all__ = [
     "boundary_matrix",
     "c42_fixture",
     "complex_dumps",
-    "complex_from_json_dict",
     "complex_loads",
-    "complex_to_json_dict",
     "default_labeling",
     "euler_characteristic",
     "export_triplets",
@@ -100,10 +93,7 @@ __all__ = [
     "gen_c42",
     "gen_friendship",
     "graph_dumps",
-    "graph_from_edge_list",
-    "graph_from_json_dict",
     "graph_loads",
-    "graph_to_json_dict",
     "homology_summary",
     "is_cm",
     "is_cm_t",

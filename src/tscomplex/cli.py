@@ -27,14 +27,7 @@ from .covers import (
     friendship_cover_count,
     minimal_vertex_covers,
 )
-from .graphs import (
-    default_labeling,
-    gen_c42,
-    gen_friendship,
-    graph_dumps,
-    graph_from_edge_list,
-    graph_loads,
-)
+from .graphs import Graph, default_labeling, gen_c42, gen_friendship, graph_dumps, graph_loads
 from .homology import DEFAULT_FIELD, PrimeField, Rationals, homology_summary, parse_field
 from .tsc import build_tsc, c42_fixture
 
@@ -111,7 +104,7 @@ def gen(family, n, m, edges, out):
                 pairs.append((int(u), int(v)))
             except ValueError:
                 raise ValueError(f"bad edge {text!r}; expected 'u,v'") from None
-        g = graph_from_edge_list(m, pairs)
+        g = Graph(m, pairs)
         labeling = default_labeling(g)
     _emit(graph_dumps(g, labeling), out)
 
@@ -279,20 +272,12 @@ def friendship_verification_rows(n_max: int) -> tuple[list[dict], bool]:
 
 
 def _row_text(row: dict) -> str:
+    """``n=<n>``, then one ``key: k=v ... STATUS`` part per cell, in row order."""
     parts = [f"n={row['n']}"]
-    for key in ("alpha", "rank_d1", "rank_d2", "betti", "cover_cardinality", "cover_count"):
-        cell = row[key]
-        if cell["status"] == "OPEN":
-            parts.append(
-                f"{key}: computed={cell['computed']} formula={cell['formula']} "
-                f"analytic={cell['analytic']} OPEN"
-            )
-        else:
-            extra = ""
-            if "at_expected_cardinality" in cell:
-                extra = f" at_expected_cardinality={cell['at_expected_cardinality']}"
-            parts.append(f"{key}: computed={cell['computed']} "
-                         f"expected={cell['expected']}{extra} {cell['status']}")
+    for key, cell in row.items():
+        if key != "n":
+            pairs = " ".join(f"{k}={v}" for k, v in cell.items() if k != "status")
+            parts.append(f"{key}: {pairs} {cell['status']}")
     return " | ".join(parts)
 
 

@@ -66,9 +66,8 @@ class CmReport:
 def _witness(cx: SimplicialComplex, field: FieldSpec, t: int = 0) -> CmWitness | None:
     """The first face with at least ``t`` vertices whose link has nonzero
     reduced homology below the link's dimension, or None."""
-    faces = cx.all_faces()
     for size in range(cx.dimension() - 1, t - 1, -1):
-        for face in faces[size - 1] if size else [()]:
+        for face in cx.faces(size - 1) if size else [()]:
             reduced = homology_summary(cx.link(face), field).reduced_betti
             for r, betti in enumerate(reduced[:-1]):  # the degrees below the link's dimension
                 if betti:

@@ -257,10 +257,6 @@ def parse_json(text: str):
         raise ValueError(f"invalid JSON: {exc}") from exc
 
 
-def complex_to_json_dict(cx: SimplicialComplex) -> dict:
-    return {"n": len(cx.vertices), "facets": [list(f) for f in cx.facets]}
-
-
 def json_int(value, what: str) -> int:
     """``value`` if it is a JSON integer; a bool or a float is refused."""
     if type(value) is not int:
@@ -268,7 +264,14 @@ def json_int(value, what: str) -> int:
     return value
 
 
-def complex_from_json_dict(data: dict) -> SimplicialComplex:
+def complex_dumps(cx: SimplicialComplex) -> str:
+    """Canonical (byte-stable) JSON text for a complex."""
+    return canonical_json({"n": len(cx.vertices), "facets": [list(f) for f in cx.facets]})
+
+
+def complex_loads(text: str) -> SimplicialComplex:
+    """Decode complex JSON text through the validating :meth:`from_facets`."""
+    data = parse_json(text)
     try:
         cx = SimplicialComplex.from_facets(
             [json_int(v, "a vertex") for v in f] for f in data["facets"])
@@ -279,12 +282,3 @@ def complex_from_json_dict(data: dict) -> SimplicialComplex:
             f"complex JSON claims {data['n']} vertices but facets use {len(cx.vertices)}"
         )
     return cx
-
-
-def complex_dumps(cx: SimplicialComplex) -> str:
-    """Canonical (byte-stable) JSON text for a complex."""
-    return canonical_json(complex_to_json_dict(cx))
-
-
-def complex_loads(text: str) -> SimplicialComplex:
-    return complex_from_json_dict(parse_json(text))

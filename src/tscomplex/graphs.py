@@ -26,7 +26,11 @@ MAX_VERTICES = 100_000
 
 @dataclass(frozen=True)
 class Graph:
-    """A finite simple graph on vertices 1..m with canonically sorted edges."""
+    """A finite simple graph on vertices 1..m with canonically sorted edges.
+
+    The constructor refuses an edge that is not a pair of vertices, a loop,
+    a duplicate edge or an endpoint outside 1..m.
+    """
 
     m: int
     edges: tuple[tuple[int, int], ...]
@@ -39,7 +43,10 @@ class Graph:
         seen = set()
         canon = []
         for pair in edges:
-            u, v = pair
+            try:
+                u, v = pair
+            except ValueError:
+                raise ValueError(f"edge {pair} is not a pair of vertices") from None
             if u == v:
                 raise ValueError(f"loop at vertex {u} is not allowed")
             if not (1 <= u <= m and 1 <= v <= m):
@@ -97,14 +104,6 @@ class TotalLabeling:
 
     def matches(self, g: Graph) -> bool:
         return len(self.vertex_labels) == g.m and len(self.edge_labels) == g.edge_count
-
-
-def graph_from_edge_list(m: int, pairs) -> Graph:
-    """Build a canonical Graph from a vertex count and unordered edge pairs.
-
-    Rejects loops, duplicate pairs and out-of-range endpoints.
-    """
-    return Graph(m, [tuple(p) for p in pairs])
 
 
 def default_labeling(g: Graph) -> TotalLabeling:
@@ -209,20 +208,24 @@ def is_connected(g: Graph) -> bool:
 #  "labels": {"v<i>": label, "e<k>": label}}   (labels optional)
 
 
-def graph_to_json_dict(g: Graph, labeling: TotalLabeling | None = None) -> dict:
+def graph_dumps(g: Graph, labeling: TotalLabeling | None = None) -> str:
+    """Canonical (byte-stable) JSON text for a labeled graph."""
     if labeling is None:
         labeling = default_labeling(g)
     if not labeling.matches(g):
         raise ValueError("labeling does not match graph")
     labels = {f"v{i}": labeling.vertex_label(i) for i in range(1, g.m + 1)}
     labels.update({f"e{k}": labeling.edge_label(k) for k in range(1, g.edge_count + 1)})
-    return {"m": g.m, "edges": [list(e) for e in g.edges], "labels": labels}
+    return canonical_json({"m": g.m, "edges": [list(e) for e in g.edges], "labels": labels})
 
 
-def graph_from_json_dict(data: dict) -> tuple[Graph, TotalLabeling]:
+def graph_loads(text: str) -> tuple[Graph, TotalLabeling]:
+    """Decode graph JSON text; edges are passed to :class:`Graph` as tuples,
+    so a refusal names an edge as ``(u, v)``."""
+    data = parse_json(text)
     try:
-        g = graph_from_edge_list(json_int(data["m"], "m"),
-                                 [[json_int(v, "an edge end") for v in e] for e in data["edges"]])
+        g = Graph(json_int(data["m"], "m"),
+                  [tuple(json_int(v, "an edge end") for v in e) for e in data["edges"]])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from exc
     labels = data.get("labels")
@@ -239,12 +242,3 @@ def graph_from_json_dict(data: dict) -> tuple[Graph, TotalLabeling]:
     except TypeError as exc:
         raise ValueError(f"malformed graph JSON labels: {exc}") from exc
     return g, labeling
-
-
-def graph_dumps(g: Graph, labeling: TotalLabeling | None = None) -> str:
-    """Canonical (byte-stable) JSON text for a labeled graph."""
-    return canonical_json(graph_to_json_dict(g, labeling))
-
-
-def graph_loads(text: str) -> tuple[Graph, TotalLabeling]:
-    return graph_from_json_dict(parse_json(text))

@@ -169,16 +169,9 @@ def _column_rank(columns, p: int) -> int:
     return len(pivots)
 
 
-def matrix_rank(mat, field: FieldSpec) -> int:
-    """Exact rank over ``field`` of a BoundaryMatrix or of any 2-D integer
-    matrix (a numpy array or a list of rows)."""
-    if isinstance(mat, BoundaryMatrix):
-        columns = mat.columns
-    else:
-        n_cols = len(mat[0]) if len(mat) else 0
-        columns = [{i: int(row[j]) for i, row in enumerate(mat) if row[j]}
-                   for j in range(n_cols)]
-    return _column_rank(columns, field.p if isinstance(field, PrimeField) else 0)
+def matrix_rank(mat: BoundaryMatrix, field: FieldSpec) -> int:
+    """Exact rank of a boundary matrix over ``field``."""
+    return _column_rank(mat.columns, field.p if isinstance(field, PrimeField) else 0)
 
 
 # --- homology summaries --------------------------------------------------------

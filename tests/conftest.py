@@ -4,13 +4,13 @@ from itertools import combinations
 import pytest
 
 from tscomplex import (
+    Graph,
     SimplicialComplex,
     build_tsc,
     c42_fixture,
     default_labeling,
     gen_c42,
     gen_friendship,
-    graph_from_edge_list,
 )
 
 
@@ -19,7 +19,7 @@ def all_labeled_graphs(max_m):
     for m in range(1, max_m + 1):
         pairs = list(combinations(range(1, m + 1), 2))
         for bits in range(1 << len(pairs)):
-            yield graph_from_edge_list(m, [p for i, p in enumerate(pairs) if bits >> i & 1])
+            yield Graph(m, [p for i, p in enumerate(pairs) if bits >> i & 1])
 
 
 def random_complexes(count, seed):
@@ -58,9 +58,9 @@ def c42_fix():
 @pytest.fixture(scope="session")
 def corpus(tsc_friendship, c42_built, c42_fix):
     """The fixed complexes every invariant is exercised on."""
-    k2 = graph_from_edge_list(2, [(1, 2)])
-    k3 = graph_from_edge_list(3, [(1, 2), (2, 3), (1, 3)])
-    p3 = graph_from_edge_list(3, [(1, 2), (2, 3)])
+    k2 = Graph(2, [(1, 2)])
+    k3 = Graph(3, [(1, 2), (2, 3), (1, 3)])
+    p3 = Graph(3, [(1, 2), (2, 3)])
     return {
         "point": SimplicialComplex.from_facets([(1,)]),
         "segment": SimplicialComplex.from_facets([(1, 2)]),

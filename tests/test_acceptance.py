@@ -28,6 +28,7 @@ import pytest
 
 from tscomplex import (
     CmWitness,
+    Graph,
     PrimeField,
     Rationals,
     boundary_matrix,
@@ -37,7 +38,6 @@ from tscomplex import (
     friendship_cover_count,
     friendship_facets_closed_form,
     gen_friendship,
-    graph_from_edge_list,
     homology_summary,
     is_cm,
     is_cm_t,
@@ -179,7 +179,7 @@ def test_criterion_5_c42_counterexample(c42_fix):
             errors.append(f"fixture: oracle finds the link of vertex {v} disconnected")
 
     # "not Cohen-Macaulay in general": the 5-cycle's TSC has a hole
-    c5 = graph_from_edge_list(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+    c5 = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
     c5_tsc = build_tsc(c5, default_labeling(c5))
     for field in BOTH_FIELDS:
         cm = is_cm(c5_tsc, field)

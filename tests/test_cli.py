@@ -199,6 +199,29 @@ def test_verify_friendship_n2_reports_cover_mismatch(runner):
     assert invoke(runner, "verify-friendship", "--n-max", "2", "--assert").exit_code == 3
 
 
+VERIFY_N2_TEXT = (
+    "n=1 | alpha: computed=[6, 15, 20] expected=[6, 15, 20] PASS"
+    " | rank_d1: computed={'gf': 5, 'q': 5} expected={'gf': 5, 'q': 5} PASS"
+    " | rank_d2: computed={'gf': 10, 'q': 10} expected={'gf': 10, 'q': 10} PASS"
+    " | betti: computed={'gf': [1, 0, 10], 'q': [1, 0, 10]}"
+    " expected={'gf': [1, 0, 10], 'q': [1, 0, 10]} PASS"
+    " | cover_cardinality: computed=[4] expected=[4] PASS"
+    " | cover_count: computed=15 formula=10 analytic=15 OPEN\n"
+    "n=2 | alpha: computed=[11, 50, 76] expected=[11, 50, 76] PASS"
+    " | rank_d1: computed={'gf': 10, 'q': 10} expected={'gf': 10, 'q': 10} PASS"
+    " | rank_d2: computed={'gf': 40, 'q': 40} expected={'gf': 40, 'q': 40} PASS"
+    " | betti: computed={'gf': [1, 0, 36], 'q': [1, 0, 36]}"
+    " expected={'gf': [1, 0, 36], 'q': [1, 0, 36]} PASS"
+    " | cover_cardinality: computed=[7, 8] expected=[7] FAIL"
+    " | cover_count: computed=64 expected=55 at_expected_cardinality=55 FAIL\n"
+)
+
+
+def test_verify_friendship_text_is_stable(runner):
+    result = invoke(runner, "verify-friendship", "--n-max", "2")
+    assert (result.exit_code, result.output) == (0, VERIFY_N2_TEXT)
+
+
 def test_verify_friendship_n6_cover_census(runner):
     result = invoke(runner, "verify-friendship", "--n-max", "6", "--format", "json")
     assert result.exit_code == 0
@@ -366,3 +389,9 @@ def test_malformed_inputs_never_show_a_traceback(runner, tmp_path):
             assert len(_error_lines(result)) == 1, (args, text, result.output)
         codes[result.exit_code] += 1
     assert codes[0] >= 20 and codes[2] >= 60 and codes[3] >= 5, codes
+    for edge, named in (([1], "(1,)"), ([1, 2, 3], "(1, 2, 3)")):
+        path.write_text(json.dumps({"m": 3, "edges": [edge]}))
+        result = invoke(runner, "tsc", str(path))
+        assert result.exit_code == 2
+        assert _error_lines(result) == [f"Error: cannot read graph file {str(path)!r}: "
+                                        f"edge {named} is not a pair of vertices"]

@@ -3,6 +3,7 @@ import pytest
 from tscomplex import (
     CmReport,
     CmWitness,
+    Graph,
     PrimeField,
     Rationals,
     SimplicialComplex,
@@ -10,7 +11,6 @@ from tscomplex import (
     default_labeling,
     gen_c42,
     gen_friendship,
-    graph_from_edge_list,
     homology_summary,
     is_cm,
     is_cm_t,
@@ -88,6 +88,16 @@ def test_is_cm_t_simplex_t0():
     assert is_cm_t(SimplicialComplex.from_facets([(1, 2, 3)]), 0).verdict
 
 
+def test_cm_t_at_the_dimension_lists_no_faces(monkeypatch):
+    # every face with at least dim vertices passes vacuously, so none is listed
+    def refuse(self):
+        raise AssertionError("faces were listed")
+
+    cx = build_tsc(*gen_friendship(3))
+    monkeypatch.setattr(SimplicialComplex, "all_faces", refuse)
+    assert is_cm_t(cx, 2).verdict
+
+
 def test_is_cm_t_rejects_bad_t(corpus):
     with pytest.raises(ValueError):
         is_cm_t(corpus["solid_triangle"], 4)
@@ -134,7 +144,7 @@ def test_tsc_cm_shortcut_friendship():
 
 
 def test_tsc_cm_shortcut_k2():
-    g = graph_from_edge_list(2, [(1, 2)])
+    g = Graph(2, [(1, 2)])
     assert tsc_cm_shortcut(g, default_labeling(g))
 
 
@@ -147,7 +157,7 @@ def test_tsc_cm_shortcut_c42():
 
 
 def test_tsc_cm_shortcut_rejects_disconnected():
-    g = graph_from_edge_list(4, [(1, 2), (3, 4)])
+    g = Graph(4, [(1, 2), (3, 4)])
     with pytest.raises(ValueError):
         tsc_cm_shortcut(g, default_labeling(g))
 

@@ -6,13 +6,13 @@ from itertools import combinations
 import pytest
 
 from tscomplex import (
+    Graph,
     TotalLabeling,
     build_tsc,
     default_labeling,
     gen_c42,
     gen_friendship,
     graph_dumps,
-    graph_from_edge_list,
     graph_loads,
     is_connected,
     total_graph,
@@ -23,18 +23,18 @@ from oracles import brute_force_total_graph
 
 
 def test_from_edge_list_canonical_order():
-    g = graph_from_edge_list(3, [(2, 3), (2, 1), (3, 1)])
+    g = Graph(3, [(2, 3), (2, 1), (3, 1)])
     assert g.edges == ((1, 2), (1, 3), (2, 3))
     assert g.m == 3
 
 
 def test_from_edge_list_k2():
-    g = graph_from_edge_list(2, [(1, 2)])
+    g = Graph(2, [(1, 2)])
     assert g.edges == ((1, 2),)
 
 
 def test_from_edge_list_c42_shape():
-    g = graph_from_edge_list(5, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 5), (3, 5)])
+    g = Graph(5, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 5), (3, 5)])
     assert g.edge_count == 6
     assert g.degree(1) == g.degree(3) == 3
     assert g.degree(2) == g.degree(4) == g.degree(5) == 2
@@ -43,23 +43,23 @@ def test_from_edge_list_c42_shape():
 @pytest.mark.parametrize("pairs", [[(1, 1)], [(1, 2), (2, 1)], [(0, 2)], [(1, 6)]])
 def test_from_edge_list_rejects_bad_input(pairs):
     with pytest.raises(ValueError):
-        graph_from_edge_list(5, pairs)
+        Graph(5, pairs)
 
 
 def test_rejects_empty_vertex_set():
     with pytest.raises(ValueError):
-        graph_from_edge_list(0, [])
+        Graph(0, [])
 
 
 def test_vertex_cap_is_checked_before_any_edge():
-    assert graph_from_edge_list(MAX_VERTICES, [(1, 2)]).m == MAX_VERTICES
+    assert Graph(MAX_VERTICES, [(1, 2)]).m == MAX_VERTICES
     with pytest.raises(ValueError, match="at most"):
-        graph_from_edge_list(MAX_VERTICES + 1, [])
+        Graph(MAX_VERTICES + 1, [])
     with pytest.raises(ValueError, match="at most"):
         gen_friendship(10 ** 9)
     # the total graph has one vertex per label, m + |E| = 101,475 here, and is
     # refused before any of its ~5 * 10^9 edge pairs is scanned
-    k450 = graph_from_edge_list(450, combinations(range(1, 451), 2))
+    k450 = Graph(450, combinations(range(1, 451), 2))
     start = time.perf_counter()
     with pytest.raises(ValueError, match="at most"):
         build_tsc(k450, default_labeling(k450))
@@ -67,14 +67,14 @@ def test_vertex_cap_is_checked_before_any_edge():
 
 
 def test_default_labeling_small():
-    k2 = graph_from_edge_list(2, [(1, 2)])
+    k2 = Graph(2, [(1, 2)])
     lab = default_labeling(k2)
     assert lab.vertex_labels == (1, 2) and lab.edge_labels == (3,)
 
-    k3 = graph_from_edge_list(3, [(1, 2), (1, 3), (2, 3)])
+    k3 = Graph(3, [(1, 2), (1, 3), (2, 3)])
     assert default_labeling(k3).edge_labels == (4, 5, 6)
 
-    p3 = graph_from_edge_list(3, [(1, 2), (2, 3)])
+    p3 = Graph(3, [(1, 2), (2, 3)])
     assert default_labeling(p3).edge_labels == (4, 5)
 
 
@@ -123,13 +123,13 @@ def test_gen_c42():
 
 
 def test_total_graph_k2_is_triangle():
-    g = graph_from_edge_list(2, [(1, 2)])
+    g = Graph(2, [(1, 2)])
     t = total_graph(g, default_labeling(g))
     assert t.m == 3 and t.edges == ((1, 2), (1, 3), (2, 3))
 
 
 def test_total_graph_k3_is_octahedron():
-    g = graph_from_edge_list(3, [(1, 2), (1, 3), (2, 3)])
+    g = Graph(3, [(1, 2), (1, 3), (2, 3)])
     t = total_graph(g, default_labeling(g))
     assert t.m == 6 and t.edge_count == 12
     assert all(t.degree(v) == 4 for v in range(1, 7))
@@ -139,14 +139,14 @@ def test_total_graph_k3_is_octahedron():
 
 
 def test_total_graph_p3():
-    g = graph_from_edge_list(3, [(1, 2), (2, 3)])
+    g = Graph(3, [(1, 2), (2, 3)])
     t = total_graph(g, default_labeling(g))
     assert set(t.edges) == {(1, 2), (2, 3), (4, 5), (1, 4), (2, 4), (2, 5), (3, 5)}
 
 
 def test_total_graph_rejects_mismatched_labeling():
-    g = graph_from_edge_list(3, [(1, 2), (2, 3)])
-    wrong = default_labeling(graph_from_edge_list(2, [(1, 2)]))
+    g = Graph(3, [(1, 2), (2, 3)])
+    wrong = default_labeling(Graph(2, [(1, 2)]))
     with pytest.raises(ValueError):
         total_graph(g, wrong)
 
@@ -158,9 +158,9 @@ def _expected_total_edge_count(g):
 
 def test_total_graph_edge_count_formula_on_corpus():
     graphs = [
-        graph_from_edge_list(2, [(1, 2)]),
-        graph_from_edge_list(3, [(1, 2), (1, 3), (2, 3)]),
-        graph_from_edge_list(3, [(1, 2), (2, 3)]),
+        Graph(2, [(1, 2)]),
+        Graph(3, [(1, 2), (1, 3), (2, 3)]),
+        Graph(3, [(1, 2), (2, 3)]),
         gen_c42()[0],
     ] + [gen_friendship(n)[0] for n in (1, 2, 3)]
     for g in graphs:
@@ -182,7 +182,7 @@ def test_total_graph_matches_definition():
 def test_total_graph_of_path_4000_is_fast():
     # a scan of every pair of the 3,999 edges takes seconds here
     m = 4000
-    g = graph_from_edge_list(m, [(i, i + 1) for i in range(1, m)])
+    g = Graph(m, [(i, i + 1) for i in range(1, m)])
     start = time.perf_counter()
     t = total_graph(g, default_labeling(g))
     assert time.perf_counter() - start < 1.0
@@ -198,10 +198,10 @@ def test_generator_labelings_are_bijections():
 
 
 def test_is_connected():
-    assert is_connected(graph_from_edge_list(3, [(1, 2), (2, 3)]))
-    assert not is_connected(graph_from_edge_list(4, [(1, 2), (3, 4)]))
-    assert is_connected(graph_from_edge_list(1, []))
-    assert not is_connected(graph_from_edge_list(2, []))
+    assert is_connected(Graph(3, [(1, 2), (2, 3)]))
+    assert not is_connected(Graph(4, [(1, 2), (3, 4)]))
+    assert is_connected(Graph(1, []))
+    assert not is_connected(Graph(2, []))
 
 
 def test_is_connected_matches_component_walk_on_small_graphs():

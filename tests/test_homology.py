@@ -4,7 +4,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import tscomplex
@@ -119,28 +118,6 @@ def test_rank_examples(tsc_friendship):
     for field in (Rationals(), PrimeField(32003)):
         assert matrix_rank(boundary_matrix(cx, 1), field) == 5
         assert matrix_rank(boundary_matrix(cx, 2), field) == 10
-
-
-def test_rank_of_zero_and_known_matrices():
-    for field in (Rationals(), PrimeField(32003), PrimeField(2)):
-        assert matrix_rank(np.zeros((4, 7), dtype=np.int64), field) == 0
-        assert matrix_rank(np.eye(5, dtype=np.int64), field) == 5
-    # rank depends on the characteristic when the minors do
-    two = np.array([[2]])
-    assert matrix_rank(two, Rationals()) == 1
-    assert matrix_rank(two, PrimeField(2)) == 0
-    # plain lists of rows work too; a non-unit pivot over Q leaves fractions
-    assert matrix_rank([[2, 4], [3, 6]], Rationals()) == 1
-    assert matrix_rank([[2, 3], [4, 5]], Rationals()) == 2
-    assert matrix_rank([[2, 3], [4, 5]], PrimeField(2)) == 1
-    assert matrix_rank([], Rationals()) == 0
-
-
-def test_rank_agreement_random_integer_matrices():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        a = rng.integers(-2, 3, size=(6, 9))
-        assert matrix_rank(a, Rationals()) == matrix_rank(a, PrimeField(32003))
 
 
 # --- homology summaries ----------------------------------------------------------
@@ -258,6 +235,12 @@ def test_kernel_sees_the_characteristic_on_rp2():
     assert homology_summary(rp2, PrimeField(2)).betti == (1, 1, 1)
     assert homology_summary(rp2, Rationals()).betti == (1, 0, 0)
     assert brute_force_reduced_betti(RP2) == (0, 0, 0)
+    # over Q this reduction meets a pivot of 2, so it leaves the integers
+    d2 = boundary_matrix(rp2, 2)
+    assert [matrix_rank(d2, f) for f in (Rationals(), PrimeField(3), PrimeField(2))] == [10, 10, 9]
+    suspension = SimplicialComplex.from_facets(f + (apex,) for f in RP2 for apex in (7, 8))
+    assert homology_summary(suspension, Rationals()).reduced_betti == (0, 0, 0, 0)
+    assert homology_summary(suspension, PrimeField(2)).reduced_betti == (0, 0, 1, 1)
 
 
 def test_primes_above_int64_range_do_not_overflow(tsc_friendship):

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from tscomplex import (
+    Graph,
     SimplicialComplex,
     TotalLabeling,
     build_tsc,
@@ -12,7 +13,6 @@ from tscomplex import (
     friendship_facets_closed_form,
     gen_c42,
     gen_friendship,
-    graph_from_edge_list,
     is_connected,
     total_graph,
     total_indices,
@@ -22,21 +22,21 @@ from oracles import brute_force_total_indices
 
 
 def test_total_indices_k2():
-    g = graph_from_edge_list(2, [(1, 2)])
+    g = Graph(2, [(1, 2)])
     idx = total_indices(g, default_labeling(g))
     assert idx.triples == {(1, 2, 3)}
     assert idx.singletons == frozenset()
 
 
 def test_total_indices_isolated_vertex():
-    g = graph_from_edge_list(1, [])
+    g = Graph(1, [])
     idx = total_indices(g, default_labeling(g))
     assert idx.triples == frozenset()
     assert idx.singletons == {(1,)}
 
 
 def test_total_indices_p3():
-    g = graph_from_edge_list(3, [(1, 2), (2, 3)])
+    g = Graph(3, [(1, 2), (2, 3)])
     idx = total_indices(g, default_labeling(g))
     assert idx.triples == {
         (1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 4, 5),
@@ -47,7 +47,7 @@ def test_total_indices_p3():
 
 
 def test_build_tsc_k2_is_one_simplex():
-    g = graph_from_edge_list(2, [(1, 2)])
+    g = Graph(2, [(1, 2)])
     assert build_tsc(g, default_labeling(g)).facets == ((1, 2, 3),)
 
 
@@ -63,7 +63,7 @@ def test_build_tsc_p3(corpus):
 
 
 def test_build_tsc_mixed_dimensions_with_isolated_vertex():
-    g = graph_from_edge_list(3, [(1, 2)])  # K2 plus an isolated vertex
+    g = Graph(3, [(1, 2)])  # K2 plus an isolated vertex
     cx = build_tsc(g, default_labeling(g))
     assert cx.facets == ((1, 2, 4), (3,))
     assert not cx.is_pure() and not cx.is_facet_connected()
@@ -122,7 +122,7 @@ def test_build_tsc_scales_to_path_400():
     # the path on m vertices has 8m - 16 total indices, all triples (m >= 3);
     # a scan of all C(2m - 1, 3) label triples takes tens of seconds here
     m = 400
-    g = graph_from_edge_list(m, [(i, i + 1) for i in range(1, m)])
+    g = Graph(m, [(i, i + 1) for i in range(1, m)])
     start = time.perf_counter()
     cx = build_tsc(g, default_labeling(g))
     assert time.perf_counter() - start < 1.0
