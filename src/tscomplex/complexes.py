@@ -32,7 +32,7 @@ Face = tuple[int, ...]
 
 
 def _as_face(vertices) -> Face:
-    vs = [int(v) for v in vertices]
+    vs = [json_int(v, "a vertex") for v in vertices]
     face = tuple(sorted(set(vs)))
     if len(face) != len(vs):
         raise ValueError(f"face {tuple(vs)} has repeated vertices")
@@ -273,8 +273,7 @@ def complex_loads(text: str) -> SimplicialComplex:
     """Decode complex JSON text through the validating :meth:`from_facets`."""
     data = parse_json(text)
     try:
-        cx = SimplicialComplex.from_facets(
-            [json_int(v, "a vertex") for v in f] for f in data["facets"])
+        cx = SimplicialComplex.from_facets(data["facets"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed complex JSON: {exc}") from exc
     if "n" in data and json_int(data["n"], "n") != len(cx.vertices):

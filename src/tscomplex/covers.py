@@ -27,6 +27,14 @@ from dataclasses import dataclass
 
 from .complexes import Face, SimplicialComplex, vertex_masks
 
+#: The most minimal transversals one search returns.  A search that finds
+#: more is refused with a ``ValueError`` as soon as it does, so neither
+#: minimal covers nor Stanley-Reisner generators can exhaust memory (the TSC
+#: of a path on m vertices has about 4.5 times more covers per two more
+#: vertices).  The friendship TSC at n = 8, with 210,714 minimal covers,
+#: stays below it.
+MAX_TRANSVERSALS = 250_000
+
 
 @dataclass(frozen=True)
 class CoverReport:
@@ -57,7 +65,8 @@ class PrimeComponent:
 
 
 def _minimal_transversals(facets: tuple[Face, ...]) -> list[tuple[int, ...]]:
-    """Every minimal transversal of ``facets``, each once, in search order.
+    """Every minimal transversal of ``facets``, each once, in search order;
+    more than :data:`MAX_TRANSVERSALS` of them is a ``ValueError``.
 
     Masks: ``members[j]`` holds the vertices of facet j, ``hits[i]`` the
     facets containing vertex i.  A stack entry is (chosen vertices, their
@@ -74,6 +83,9 @@ def _minimal_transversals(facets: tuple[Face, ...]) -> list[tuple[int, ...]]:
         chosen, crit, uncov, cand = stack.pop()
         if not uncov:
             found.append(tuple(vertices[i] for i in sorted(chosen)))
+            if len(found) > MAX_TRANSVERSALS:
+                raise ValueError(f"more than {MAX_TRANSVERSALS} minimal transversals "
+                                 "(covers or non-faces); refusing to list them all")
             continue
         # branch on the uncovered facet with the fewest candidates
         branch, fewest, rest = 0, len(vertices) + 1, uncov

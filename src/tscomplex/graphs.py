@@ -28,14 +28,16 @@ MAX_VERTICES = 100_000
 class Graph:
     """A finite simple graph on vertices 1..m with canonically sorted edges.
 
-    The constructor refuses an edge that is not a pair of vertices, a loop,
-    a duplicate edge or an endpoint outside 1..m.
+    The constructor refuses an ``m`` or an edge end that is not an integer
+    (a bool or a float included), an edge that is not a pair of vertices, a
+    loop, a duplicate edge or an endpoint outside 1..m.
     """
 
     m: int
     edges: tuple[tuple[int, int], ...]
 
     def __init__(self, m: int, edges=()):
+        json_int(m, "m")
         if m < 1:
             raise ValueError(f"vertex count must be positive, got {m}")
         if m > MAX_VERTICES:
@@ -47,6 +49,8 @@ class Graph:
                 u, v = pair
             except ValueError:
                 raise ValueError(f"edge {pair} is not a pair of vertices") from None
+            json_int(u, "an edge end")
+            json_int(v, "an edge end")
             if u == v:
                 raise ValueError(f"loop at vertex {u} is not allowed")
             if not (1 <= u <= m and 1 <= v <= m):
@@ -224,8 +228,7 @@ def graph_loads(text: str) -> tuple[Graph, TotalLabeling]:
     so a refusal names an edge as ``(u, v)``."""
     data = parse_json(text)
     try:
-        g = Graph(json_int(data["m"], "m"),
-                  [tuple(json_int(v, "an edge end") for v in e) for e in data["edges"]])
+        g = Graph(data["m"], [tuple(e) for e in data["edges"]])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from exc
     labels = data.get("labels")

@@ -57,9 +57,14 @@ def brute_force_minimal_covers(cx: SimplicialComplex) -> list[tuple[int, ...]]:
     return sorted(covers)
 
 
-def _fraction_rank(rows: list[list[Fraction]]) -> int:
-    """Rank by plain Gaussian elimination over exact fractions."""
-    rows = [list(row) for row in rows]
+def dense_rank(rows, p: int = 0) -> int:
+    """Rank of a dense matrix, given as a list of rows, by plain Gaussian
+    elimination with row swaps: over exact fractions when ``p`` is 0, else
+    over GF(p) with integers mod p."""
+    if p:
+        rows = [[x % p for x in row] for row in rows]
+    else:
+        rows = [[Fraction(x) for x in row] for row in rows]
     rank = 0
     for col in range(len(rows[0]) if rows else 0):
         pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
@@ -69,10 +74,20 @@ def _fraction_rank(rows: list[list[Fraction]]) -> int:
         top = rows[rank]
         for i in range(rank + 1, len(rows)):
             if rows[i][col]:
-                factor = rows[i][col] / top[col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], top)]
+                if p:
+                    factor = rows[i][col] * pow(top[col], -1, p) % p
+                    rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], top)]
+                else:
+                    factor = rows[i][col] / top[col]
+                    rows[i] = [a - factor * b for a, b in zip(rows[i], top)]
         rank += 1
     return rank
+
+
+def dense_boundary_rank(bm, p: int = 0) -> int:
+    """:func:`dense_rank` of a boundary matrix written out entry by entry
+    (one dense list per column; a matrix and its transpose share a rank)."""
+    return dense_rank([[col.get(i, 0) for i in range(len(bm.rows))] for col in bm.columns], p)
 
 
 def brute_force_reduced_betti(facets) -> tuple[int, ...]:
@@ -81,7 +96,8 @@ def brute_force_reduced_betti(facets) -> tuple[int, ...]:
 
     Lists every non-empty subset of every generator, builds each boundary
     matrix entry by entry with signs (-1)^i, and ranks it over
-    ``fractions.Fraction``; the augmentation C_0 -> C_{-1} has rank 1.
+    ``fractions.Fraction`` with :func:`dense_rank`; the augmentation
+    C_0 -> C_{-1} has rank 1.
     """
     by_dim: dict[int, set[tuple[int, ...]]] = {}
     for f in facets:
@@ -95,11 +111,11 @@ def brute_force_reduced_betti(facets) -> tuple[int, ...]:
         index = {face: j for j, face in enumerate(faces[r - 1])}
         rows = []
         for face in faces[r]:
-            row = [Fraction(0)] * len(index)
+            row = [0] * len(index)
             for i in range(r + 1):
-                row[index[face[:i] + face[i + 1:]]] = Fraction((-1) ** i)
+                row[index[face[:i] + face[i + 1:]]] = (-1) ** i
             rows.append(row)
-        ranks[r] = _fraction_rank(rows)
+        ranks[r] = dense_rank(rows)
     return tuple(len(faces[r]) - ranks[r] - ranks[r + 1] for r in range(dim + 1))
 
 

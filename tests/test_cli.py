@@ -245,6 +245,21 @@ def test_deep_star_runs_without_traceback(tmp_path, command):
     assert json.loads(done.stdout)["cardinalities"] == [1, 1500]
 
 
+@pytest.mark.parametrize("command", ["covers", "decompose"])
+def test_too_many_covers_exit_2_with_one_line(runner, tmp_path, monkeypatch, command):
+    monkeypatch.setattr(tscomplex.covers, "MAX_TRANSVERSALS", 1000)
+    path = tmp_path / "path30.json"
+    g = tscomplex.Graph(30, [(v, v + 1) for v in range(1, 30)])
+    path.write_text(complex_dumps(tscomplex.build_tsc(g, tscomplex.default_labeling(g))))
+    start = time.perf_counter()
+    result = invoke(runner, command, str(path))
+    assert time.perf_counter() - start < 5.0
+    assert result.exit_code == 2
+    errors = _error_lines(result)
+    assert len(errors) == 1 and "more than 1000 minimal transversals" in errors[0]
+    assert "Traceback" not in result.output
+
+
 def test_missing_files_exit_2(runner):
     assert invoke(runner, "tsc", "nope.json").exit_code == 2
     assert invoke(runner, "fvector", "nope.json").exit_code == 2

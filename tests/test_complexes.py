@@ -200,6 +200,17 @@ def test_complex_json_rejects_vertex_count_mismatch():
         complex_loads('{"n": 5, "facets": [[1, 2, 3]]}')
 
 
+@pytest.mark.parametrize("face", [(1.5, 2), (1.0, 2), ("1", "2"), (True, 2)])
+def test_non_integer_vertices_are_refused(face):
+    with pytest.raises(ValueError, match="must be an integer"):
+        SimplicialComplex([face])
+    cx = SimplicialComplex([(1, 2)])
+    with pytest.raises(ValueError, match="must be an integer"):
+        cx.link(face[:1])
+    with pytest.raises(ValueError, match="must be an integer"):
+        cx.has_face(face)
+
+
 @pytest.mark.parametrize("text", [
     '{"facets": [[1.7, 2], [true, 3]]}',
     '{"facets": [[1, 2.0]]}',

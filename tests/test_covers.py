@@ -1,9 +1,12 @@
 import random
+import time
 from collections import Counter
 
 import pytest
 
+import tscomplex.covers
 from tscomplex import (
+    Graph,
     SimplicialComplex,
     TotalLabeling,
     build_tsc,
@@ -131,6 +134,25 @@ def test_cover_enumeration_matches_brute_force_on_random_complexes():
 def test_deep_star_has_two_covers():
     star = SimplicialComplex.from_facets([(1, i) for i in range(2, 1502)])
     assert minimal_vertex_covers(star).covers == ((1,), tuple(range(2, 1502)))
+
+
+def test_transversal_cap_admits_the_friendship_n8_census():
+    # friendship n = 8 has 210,714 minimal covers (enumerated, ~5 s)
+    assert tscomplex.covers.MAX_TRANSVERSALS >= 210_714
+
+
+def test_too_many_transversals_are_refused_as_they_are_found(monkeypatch):
+    # the 30-vertex path's TSC has far more than a thousand minimal covers
+    # and minimal non-faces; the 8-vertex path's 271 covers stay below
+    monkeypatch.setattr(tscomplex.covers, "MAX_TRANSVERSALS", 1000)
+    path = tsc_of(Graph(30, [(v, v + 1) for v in range(1, 30)]))
+    for search in (minimal_vertex_covers, stanley_reisner_generators):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="more than 1000 minimal transversals"):
+            search(path)
+        assert time.perf_counter() - start < 5.0, search
+    assert len(minimal_vertex_covers(tsc_of(Graph(8, [(v, v + 1) for v in range(1, 8)])))
+               .covers) == 271
 
 
 def test_many_singleton_facets_have_one_cover():

@@ -46,6 +46,20 @@ def test_from_edge_list_rejects_bad_input(pairs):
         Graph(5, pairs)
 
 
+@pytest.mark.parametrize("m, pairs", [
+    (3, [(1.5, 2)]),
+    (3, [(1, 2.0)]),
+    (3, [("1", "2")]),
+    (3, [(True, 2)]),
+    (3.0, [(1, 2)]),
+    (True, []),
+    ("3", []),
+])
+def test_non_integer_vertices_are_refused(m, pairs):
+    with pytest.raises(ValueError, match="must be an integer"):
+        Graph(m, pairs)
+
+
 def test_rejects_empty_vertex_set():
     with pytest.raises(ValueError):
         Graph(0, [])

@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 import tscomplex
 import tscomplex.homology
 from tscomplex import (
+    Graph,
     PrimeField,
     Rationals,
     SimplicialComplex,
@@ -23,7 +26,7 @@ from tscomplex import (
     parse_field,
 )
 from conftest import all_labeled_graphs, random_complexes, tsc_of
-from oracles import brute_force_reduced_betti, sparse_product
+from oracles import brute_force_reduced_betti, dense_boundary_rank, sparse_product
 
 
 # --- fields -------------------------------------------------------------------
@@ -241,6 +244,47 @@ def test_kernel_sees_the_characteristic_on_rp2():
     suspension = SimplicialComplex.from_facets(f + (apex,) for f in RP2 for apex in (7, 8))
     assert homology_summary(suspension, Rationals()).reduced_betti == (0, 0, 0, 0)
     assert homology_summary(suspension, PrimeField(2)).reduced_betti == (0, 0, 1, 1)
+
+
+def test_q_rank_leaves_the_integers_on_rp2_and_its_suspension(monkeypatch):
+    calls = []
+
+    def counting_fraction(*args):
+        calls.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(tscomplex.homology, "Fraction", counting_fraction)
+    rp2 = SimplicialComplex.from_facets(RP2)
+    assert matrix_rank(boundary_matrix(rp2, 2), Rationals()) == 10
+    assert calls, "RP2's d2 met no pivot other than +-1"
+    calls.clear()
+    suspension = SimplicialComplex.from_facets(f + (apex,) for f in RP2 for apex in (7, 8))
+    assert matrix_rank(boundary_matrix(suspension, 3), Rationals()) == 20
+    assert calls, "the suspension's d3 met no pivot other than +-1"
+
+
+# Ranks of d1 and d2 where matrix_rank keeps no spare row, so a version
+# that dropped more rows would read too low.  After the last row through
+# each (r-2)-face is dropped, d2 of the 5-cycle's TSC keeps 31 rows for
+# rank 30 (H~1 = 1) and d1 of two disjoint triangles 5 rows for rank 4
+# (H~0 = 1); every other matrix here keeps exactly its rank, except d2 of
+# RP2 over GF(2), which keeps 10 rows for rank 9.
+ROW_CASES = {  # name: (complex, ranks of d1 and d2 over Q)
+    "five_cycle_tsc": (tsc_of(Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])), (9, 30)),
+    "two_disjoint_triangles": (SimplicialComplex.from_facets([(1, 2, 3), (4, 5, 6)]), (4, 2)),
+    "hollow_tetrahedron": (SimplicialComplex.from_facets(combinations((1, 2, 3, 4), 3)), (3, 3)),
+    "rp2": (SimplicialComplex.from_facets(RP2), (5, 10)),
+}
+
+
+@pytest.mark.parametrize("name", list(ROW_CASES))
+def test_row_ranks_match_dense_elimination(name):
+    cx, ranks_q = ROW_CASES[name]
+    matrices = [boundary_matrix(cx, r) for r in (1, 2)]
+    assert [matrix_rank(bm, Rationals()) for bm in matrices] == list(ranks_q)
+    for field, p in ((Rationals(), 0), (PrimeField(2), 2), (PrimeField(3), 3)):
+        assert [matrix_rank(bm, field) for bm in matrices] == \
+            [dense_boundary_rank(bm, p) for bm in matrices], (name, field)
 
 
 def test_primes_above_int64_range_do_not_overflow(tsc_friendship):

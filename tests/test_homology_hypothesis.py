@@ -21,7 +21,7 @@ from tscomplex import (  # noqa: E402
     matrix_rank,
     tsc_cm_shortcut,
 )
-from oracles import brute_force_reduced_betti  # noqa: E402
+from oracles import brute_force_reduced_betti, dense_boundary_rank  # noqa: E402
 
 FIELDS = (Rationals(), PrimeField(2), PrimeField(3), PrimeField(32003))
 SETTINGS = hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -39,6 +39,16 @@ def test_prime_field_ranks_are_at_most_the_rational_rank(gens):
         rank_q = matrix_rank(bm, Rationals())
         assert matrix_rank(bm, PrimeField(2)) <= rank_q
         assert matrix_rank(bm, PrimeField(3)) <= rank_q
+
+
+@SETTINGS
+@hypothesis.given(generators)
+def test_ranks_match_dense_elimination(gens):
+    cx = SimplicialComplex.from_facets(gens)
+    for r in range(1, cx.dimension() + 1):
+        bm = boundary_matrix(cx, r)
+        for field, p in ((Rationals(), 0), (PrimeField(2), 2), (PrimeField(3), 3)):
+            assert matrix_rank(bm, field) == dense_boundary_rank(bm, p), (r, field)
 
 
 @SETTINGS
