@@ -19,16 +19,30 @@ when the AND of its vertices' masks has a bit besides its own, and the
 facets through a face are the AND of its vertices' masks, so neither compares
 generators pairwise.
 
-Complexes are immutable; the face enumeration and the index are cached per
-instance.
+Complexes are immutable.  Faces are listed one dimension at a time, on
+demand, and each dimension's list is cached per instance, as is the index:
+the vertices are the faces of dimension 0 and the largest facets those of
+the top dimension, so neither takes a subset, and only the dimensions in
+between are enumerated from the facets.  A query that reads only some
+dimensions lists only those.
+
+The validating path refuses a facet with more than :data:`MAX_FACET_SIZE`
+vertices before any face is listed, since a facet on k vertices has 2^k - 1
+non-empty faces.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import combinations
+from itertools import combinations, filterfalse
 
 Face = tuple[int, ...]
+
+#: The most vertices a facet given to the validating constructor may have.
+#: A facet on k vertices has 2^k - 1 non-empty faces, and a 16-vertex one
+#: lists its 65,535 in ~0.1 s; every TSC facet has at most 3 vertices.  The
+#: vertex count is not capped.
+MAX_FACET_SIZE = 16
 
 
 def _as_face(vertices) -> Face:
@@ -86,6 +100,10 @@ class SimplicialComplex:
         gens = {_as_face(f) for f in facets}
         if not gens:
             raise ValueError("a simplicial complex needs at least one generating face")
+        largest = max(map(len, gens))
+        if largest > MAX_FACET_SIZE:
+            raise ValueError(f"a facet has {largest} vertices; at most {MAX_FACET_SIZE} "
+                             "are accepted, since a facet on k vertices has 2^k faces")
         self._set_facets(_antichain(gens))
 
     @classmethod
@@ -100,7 +118,7 @@ class SimplicialComplex:
         self._facets = facets
         self._vertices = tuple(sorted({v for f in facets for v in f}))
         self._dim = max(map(len, facets)) - 1
-        self._faces_by_dim = None
+        self._faces_by_dim = {}
         self._masks = None
 
     @classmethod
@@ -141,20 +159,29 @@ class SimplicialComplex:
 
         The empty face is not listed (it is a face of every complex here).
         """
-        if self._faces_by_dim is None:
-            faces: set[Face] = set()
-            for facet in self._facets:
-                for k in range(1, len(facet) + 1):
-                    faces.update(combinations(facet, k))
-            grouped: dict[int, list[Face]] = {}
-            for face in faces:
-                grouped.setdefault(len(face) - 1, []).append(face)
-            self._faces_by_dim = {k: sorted(v) for k, v in sorted(grouped.items())}
-        return self._faces_by_dim
+        return {k: self.faces(k) for k in range(self._dim + 1)}
 
     def faces(self, k: int) -> list[Face]:
-        """The k-dimensional faces in canonical order (empty list if none)."""
-        return self.all_faces().get(k, [])
+        """The k-dimensional faces in canonical order (empty list if none),
+        listed on the first call and cached.
+
+        A top-dimensional face lies in no larger facet, so it is a facet;
+        other faces are the (k+1)-subsets of the facets with more than k
+        vertices.
+        """
+        faces = self._faces_by_dim.get(k)
+        if faces is None:
+            if not 0 <= k <= self._dim:
+                return []
+            if k == 0:
+                faces = [(v,) for v in self._vertices]
+            elif k == self._dim:
+                faces = [f for f in self._facets if len(f) == k + 1]
+            else:
+                faces = sorted({face for f in self._facets if len(f) > k
+                                for face in combinations(f, k + 1)})
+            self._faces_by_dim[k] = faces
+        return faces
 
     def _facets_through(self, face: Face) -> int:
         """The bitmask of the facets (by position) that contain ``face``;
@@ -167,15 +194,8 @@ class SimplicialComplex:
         return self._facets_through(_as_face(face)) != 0
 
     def f_vector(self) -> tuple[int, ...]:
-        """(alpha_0, ..., alpha_dim): face counts per dimension.
-
-        A 1-dimensional complex is a graph, each of whose edges is a facet,
-        so its counts are read off the facets without listing the faces.
-        """
-        if self._dim == 1:
-            return len(self._vertices), sum(len(f) == 2 for f in self._facets)
-        faces = self.all_faces()
-        return tuple(len(faces[k]) for k in range(self.dimension() + 1))
+        """(alpha_0, ..., alpha_dim): face counts per dimension."""
+        return tuple(len(self.faces(k)) for k in range(self._dim + 1))
 
     def component_count(self) -> int:
         """The number of connected components: a union-find on the vertices
@@ -217,12 +237,12 @@ class SimplicialComplex:
             raise ValueError(f"{face} is not a face of the complex")
         if face == ():
             return self
-        fs = set(face)
+        inside = set(face).__contains__
         gens = []
         while through:
             low = through & -through
             through ^= low
-            gens.append(tuple(v for v in self._facets[low.bit_length() - 1] if v not in fs))
+            gens.append(tuple(filterfalse(inside, self._facets[low.bit_length() - 1])))
         return SimplicialComplex._trusted(gens)
 
     # -- misc ----------------------------------------------------------------

@@ -64,21 +64,30 @@ class PrimeComponent:
         return "(" + ", ".join(f"x{v}" for v in self.variables) + ")"
 
 
-def _minimal_transversals(facets: tuple[Face, ...]) -> list[tuple[int, ...]]:
-    """Every minimal transversal of ``facets``, each once, in search order;
-    more than :data:`MAX_TRANSVERSALS` of them is a ``ValueError``.
-
-    Masks: ``members[j]`` holds the vertices of facet j, ``hits[i]`` the
-    facets containing vertex i.  A stack entry is (chosen vertices, their
-    critical-facet masks, uncovered facets, candidate vertices).
-    """
+def _incidence(facets: tuple[Face, ...]) -> tuple[tuple[int, ...], list[int], list[int]]:
+    """(vertices, members, hits) of ``facets``: the sorted vertices, for
+    each facet j the mask ``members[j]`` of its vertices (bit i for
+    ``vertices[i]``), and for each vertex i the mask ``hits[i]`` of the
+    facets containing it."""
     masks = vertex_masks(facets)
-    vertices = sorted(masks)
+    vertices = tuple(sorted(masks))
     index = {v: i for i, v in enumerate(vertices)}
     members = [sum(1 << index[v] for v in f) for f in facets]
-    hits = [masks[v] for v in vertices]
+    return vertices, members, [masks[v] for v in vertices]
+
+
+def _minimal_transversals(vertices: tuple[int, ...], members: list[int],
+                          hits: list[int]) -> list[tuple[int, ...]]:
+    """Every minimal transversal of the sets ``members``, given as in
+    :func:`_incidence`, each once, in search order; more than
+    :data:`MAX_TRANSVERSALS` of them is a ``ValueError``.
+
+    A stack entry is (chosen vertices, their critical-facet masks,
+    uncovered facets, candidate vertices).  A vertex in no member is a
+    candidate that no branch picks.
+    """
     found = []
-    stack = [((), (), (1 << len(facets)) - 1, (1 << len(vertices)) - 1)]
+    stack = [((), (), (1 << len(members)) - 1, (1 << len(vertices)) - 1)]
     while stack:
         chosen, crit, uncov, cand = stack.pop()
         if not uncov:
@@ -112,7 +121,7 @@ def minimal_vertex_covers(cx: SimplicialComplex) -> CoverReport:
     """Complete enumeration of the minimal vertex covers of ``cx``."""
     if any(not f for f in cx.facets):
         raise ValueError("the empty facet cannot be covered")
-    covers = sorted(_minimal_transversals(cx.facets))
+    covers = sorted(_minimal_transversals(*_incidence(cx.facets)))
     sizes = tuple(sorted(len(c) for c in covers))
     return CoverReport(
         covers=tuple(covers),
@@ -133,12 +142,16 @@ def stanley_reisner_generators(cx: SimplicialComplex) -> list[Face]:
     """All inclusion-minimal non-faces over the complex's vertex set, in
     canonical order: the minimal transversals of the facet complements.
 
-    A facet holding every vertex has an empty complement, which nothing
-    meets, so such a complex (a simplex, or {∅}) has no minimal non-face.
+    The complements are the incidence masks flipped: V ∖ F as
+    ``full_v ^ members[j]``, and the complements containing a vertex as
+    ``full_f ^ hits[i]``.  A facet holding every vertex has an empty
+    complement, which nothing meets, so such a complex (a simplex, or {∅})
+    has no minimal non-face.
     """
-    vertices = set(cx.vertices)
-    complements = tuple(tuple(sorted(vertices.difference(f))) for f in cx.facets)
-    return sorted(_minimal_transversals(complements))
+    vertices, members, hits = _incidence(cx.facets)
+    full_v, full_f = (1 << len(vertices)) - 1, (1 << len(members)) - 1
+    return sorted(_minimal_transversals(vertices, [full_v ^ m for m in members],
+                                        [full_f ^ h for h in hits]))
 
 
 def friendship_cover_count(n: int) -> int:

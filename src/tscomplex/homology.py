@@ -4,16 +4,17 @@ The boundary of an r-face drops one vertex at a time with alternating signs,
 positions taken in ascending vertex order; bases are the canonical face
 orders of the complex, so matrices are identical across runs.
 
-Matrices are sparse columns, one ``{row: entry}`` dict per face, and one
-exact kernel ranks them over every field by column reduction on the lowest
-row (Kaczynski, Mischaikow & Mrozek, *Computational Homology*, 2004).  Over
-GF(p) it works with Python ints mod p, so no prime overflows it; over the
-rationals entries stay ints until a pivot other than +-1 makes fractions.
-The default working field is GF(32003); the rationals serve as the
-independent verification route.
+Matrices are stored by rows, one ``{column: entry}`` dict per (r-1)-face,
+filled straight from the r-faces; the columns are a view derived on
+request.  One exact kernel ranks sparse vectors over every field by
+reduction on the lowest index (Kaczynski, Mischaikow & Mrozek,
+*Computational Homology*, 2004).  Over GF(p) it works with Python ints
+mod p, so no prime overflows it; over the rationals entries stay ints
+until a pivot other than +-1 makes fractions.  The default working field
+is GF(32003); the rationals serve as the independent verification route.
 
-:func:`matrix_rank` hands the kernel the rows of ∂_r, not its columns.  A
-column reduction spends most of its work on the columns that end up zero,
+:func:`matrix_rank` hands the kernel the stored rows of ∂_r, not its
+columns.  A column reduction spends most of its work on the columns that end up zero,
 and ∂_r has dim ker ∂_r of them (460 of the 820 triangles of the friendship
 TSC at n = 6).  The rows have a known dependency instead: ∂_{r-1} ∂_r = 0
 says that, for each (r-2)-face τ, the rows of the (r-1)-faces through τ
@@ -106,16 +107,27 @@ def parse_field(spec: str) -> FieldSpec:
 
 @dataclass(frozen=True)
 class BoundaryMatrix:
-    """Matrix of the r-th boundary map over the canonical face bases.
+    """Matrix of the r-th boundary map over the canonical face bases,
+    stored by rows.
 
-    Rows are the (r-1)-faces, columns the r-faces; ``columns[j]`` maps the
-    row index of each nonzero entry of column j to its sign, +1 or -1.
+    Rows are the (r-1)-faces, columns the r-faces; ``entries[i]`` maps the
+    column index of each nonzero entry of row i to its sign, +1 or -1, in
+    ascending column order.  ``columns`` is a read-only view built from the
+    rows on each access: ``columns[j]`` maps row indices to signs.
     """
 
     r: int
     rows: tuple[Face, ...]
     cols: tuple[Face, ...]
-    columns: tuple[dict[int, int], ...]
+    entries: tuple[dict[int, int], ...]
+
+    @property
+    def columns(self) -> tuple[dict[int, int], ...]:
+        columns = tuple({} for _ in self.cols)
+        for i, row in enumerate(self.entries):
+            for j, v in row.items():
+                columns[j][i] = v
+        return columns
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -132,19 +144,19 @@ def boundary_matrix(cx: SimplicialComplex, r: int) -> BoundaryMatrix:
         raise ValueError(f"boundary dimension {r} out of range 1..{cx.dimension()}")
     rows = tuple(cx.faces(r - 1))
     cols = tuple(cx.faces(r))
-    row_index = {face: i for i, face in enumerate(rows)}
-    columns = tuple(
-        {row_index[face[:pos] + face[pos + 1:]]: -1 if pos % 2 else 1 for pos in range(r + 1)}
-        for face in cols
-    )
-    return BoundaryMatrix(r=r, rows=rows, cols=cols, columns=columns)
+    entries = tuple({} for _ in rows)
+    row_of = dict(zip(rows, entries))
+    for j, face in enumerate(cols):
+        for pos in range(r + 1):
+            row_of[face[:pos] + face[pos + 1:]][j] = -1 if pos % 2 else 1
+    return BoundaryMatrix(r=r, rows=rows, cols=cols, entries=entries)
 
 
 def export_triplets(bm: BoundaryMatrix) -> str:
     """Sparse triplet text: one "r row col value" line per nonzero entry,
     in row-major order."""
-    entries = sorted((i, j, v) for j, col in enumerate(bm.columns) for i, v in col.items())
-    return "".join(f"{bm.r} {i} {j} {v:+d}\n" for i, j, v in entries)
+    return "".join(f"{bm.r} {i} {j} {v:+d}\n"
+                   for i, row in enumerate(bm.entries) for j, v in row.items())
 
 
 # --- exact rank ---------------------------------------------------------------
@@ -154,7 +166,8 @@ def _column_rank(columns, p: int) -> int:
     """Rank over GF(p), or over Q when ``p`` is 0, of the matrix with these
     sparse columns (or rows: :func:`matrix_rank` passes rows, keyed by
     column index).  Pivot columns are kept scaled to a lowest entry of 1; a
-    column sheds multiples of them until its lowest row is no pivot's."""
+    column sheds multiples of them until its lowest row is no pivot's.  The
+    input is never modified: each column is reduced in a copy."""
     pivots: dict[int, dict] = {}
     for col in columns:
         col = {i: x for i, v in col.items() if (x := v % p)} if p else dict(col)
@@ -174,11 +187,13 @@ def _column_rank(columns, p: int) -> int:
                     del col[i]
         if col:
             head = col[low]
-            if p:
-                inv = pow(head, -1, p)
-            else:
-                inv = head if head in (1, -1) else 1 / Fraction(head)
-            pivots[low] = {i: v * inv % p if p else v * inv for i, v in col.items()}
+            if head != 1:  # else ``col``, this loop's own copy, is kept as it is
+                if p:
+                    inv = pow(head, -1, p)
+                else:
+                    inv = head if head == -1 else 1 / Fraction(head)
+                col = {i: v * inv % p if p else v * inv for i, v in col.items()}
+            pivots[low] = col
     return len(pivots)
 
 
@@ -197,11 +212,7 @@ def matrix_rank(mat: BoundaryMatrix, field: FieldSpec) -> int:
         for pos in range(mat.r):
             last[face[:pos] + face[pos + 1:]] = i
     dropped = set(last.values())
-    rows = [{} for _ in mat.rows]
-    for j, col in enumerate(mat.columns):
-        for i, v in col.items():
-            rows[i][j] = v
-    return _column_rank([row for i, row in enumerate(rows) if i not in dropped],
+    return _column_rank([row for i, row in enumerate(mat.entries) if i not in dropped],
                         field.p if isinstance(field, PrimeField) else 0)
 
 

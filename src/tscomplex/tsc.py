@@ -49,7 +49,8 @@ def total_indices(g: Graph, labeling: TotalLabeling) -> TotalIndexSet:
     for a, b in t.edges:
         neighbours.setdefault(a, []).append(b)
         neighbours.setdefault(b, []).append(a)
-    triples = {tuple(sorted((a, b, c)))
+    # t.edges is sorted, so each neighbour list is ascending and b < c
+    triples = {(a, b, c) if a < b else (b, a, c) if a < c else (b, c, a)
                for a, near in neighbours.items() for b, c in combinations(near, 2)}
     singletons = frozenset((labeling.vertex_label(v),) for v in g.isolated_vertices())
     return TotalIndexSet(triples=frozenset(triples), singletons=singletons)

@@ -119,16 +119,34 @@ def brute_force_reduced_betti(facets) -> tuple[int, ...]:
     return tuple(len(faces[r]) - ranks[r] - ranks[r + 1] for r in range(dim + 1))
 
 
+def brute_force_boundary_columns(cx: SimplicialComplex, r: int) -> list[dict[int, int]]:
+    """The columns of ∂_r by the definition: over the :func:`brute_force_faces`
+    bases, the r-face (v_0 < ... < v_r) maps to the sum of (-1)^i times the
+    face without v_i; one ``{row: sign}`` dict per r-face."""
+    faces = brute_force_faces(cx)
+    rows = faces[r - 1]
+    return [{rows.index(face[:i] + face[i + 1:]): (-1) ** i for i in range(r + 1)}
+            for face in faces[r]]
+
+
+def sorted_triplets(r: int, columns) -> str:
+    """"r row col value" lines for the nonzero entries of sparse columns,
+    sorted by (row, column)."""
+    entries = sorted((i, j, v) for j, col in enumerate(columns) for i, v in col.items())
+    return "".join(f"{r} {i} {j} {v:+d}\n" for i, j, v in entries)
+
+
 def sparse_product(lower, upper) -> list[dict[int, int]]:
     """The columns of ``lower @ upper`` for two matrices given by sparse
     columns (``{row: entry}`` dicts), exact in Python ints, zeros dropped."""
     if lower.shape[1] != upper.shape[0]:
         raise ValueError(f"shapes {lower.shape} and {upper.shape} do not compose")
     product = []
+    lower_columns = lower.columns
     for col in upper.columns:
         acc: dict[int, int] = {}
         for k, v in col.items():
-            for i, w in lower.columns[k].items():
+            for i, w in lower_columns[k].items():
                 acc[i] = acc.get(i, 0) + w * v
         product.append({i: x for i, x in acc.items() if x})
     return product

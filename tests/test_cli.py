@@ -122,6 +122,20 @@ def test_oversized_graph_is_refused_before_allocating(runner, tmp_path):
     assert "Traceback" not in result.output
 
 
+def test_oversized_facet_is_refused_before_listing_faces(runner, tmp_path):
+    # one facet on 60 vertices has 2^60 faces; the cap refuses it first
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps({"facets": [list(range(1, 61))]}))
+    for command in ("fvector", "homology"):
+        start = time.perf_counter()
+        result = invoke(runner, command, str(path))
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        errors = _error_lines(result)
+        assert len(errors) == 1 and "a facet has 60 vertices" in errors[0]
+        assert "Traceback" not in result.output
+
+
 def test_check_cm_on_fixture_passes_honestly(runner):
     # the bundled complex satisfies the link criterion over every field even
     # though it is not unmixed, so `check cm` reports a true verdict

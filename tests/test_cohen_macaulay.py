@@ -90,11 +90,11 @@ def test_is_cm_t_simplex_t0():
 
 def test_cm_t_at_the_dimension_lists_no_faces(monkeypatch):
     # every face with at least dim vertices passes vacuously, so none is listed
-    def refuse(self):
+    def refuse(self, k):
         raise AssertionError("faces were listed")
 
     cx = build_tsc(*gen_friendship(3))
-    monkeypatch.setattr(SimplicialComplex, "all_faces", refuse)
+    monkeypatch.setattr(SimplicialComplex, "faces", refuse)
     assert is_cm_t(cx, 2).verdict
 
 

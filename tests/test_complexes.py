@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+import tscomplex.complexes
 from tscomplex import SimplicialComplex, complex_dumps, complex_loads
+from tscomplex.complexes import MAX_FACET_SIZE
 from conftest import all_labeled_graphs, random_complexes, tsc_of
 from oracles import brute_force_antichain, brute_force_faces, facet_component_count
 
@@ -163,6 +165,36 @@ def test_all_faces_against_brute_force(corpus):
     for name, cx in corpus.items():
         if len(cx.vertices) <= 12:
             assert cx.all_faces() == brute_force_faces(cx), name
+
+
+def test_faces_by_dimension_are_the_brute_force_lists(corpus):
+    # faces(k) is built per dimension, from the vertices, the largest facets
+    # or the subsets of the facets; each list must be the oracle's, in order
+    sweep = [tsc_of(g) for g in all_labeled_graphs(4)]
+    links = [cx.link(face) for cx in sweep for face in cx.faces(0) + cx.faces(1)]
+    complexes = [*corpus.values(), *sweep, *links, *random_complexes(300, seed=16)]
+    assert sum(not cx.is_pure() for cx in complexes) >= 100
+    for cx in complexes:
+        expected = brute_force_faces(cx)
+        for k in (2, 0, 1, *range(-2, cx.dimension() + 3)):  # out of order, then again
+            assert cx.faces(k) == expected.get(k, []), (cx, k)
+        assert cx.all_faces() == expected
+        assert cx.f_vector() == tuple(len(expected[k]) for k in range(cx.dimension() + 1))
+    empty = SimplicialComplex.empty()
+    assert [empty.faces(k) for k in (-1, 0, 1)] == [[], [], []]
+    assert (empty.all_faces(), empty.f_vector()) == ({}, ())
+
+
+def test_facet_size_cap_refuses_before_listing_faces(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("faces were listed")
+
+    monkeypatch.setattr(tscomplex.complexes, "combinations", refuse)
+    assert len(SimplicialComplex([range(MAX_FACET_SIZE)]).facets[0]) == MAX_FACET_SIZE
+    with pytest.raises(ValueError, match=f"at most {MAX_FACET_SIZE}"):
+        SimplicialComplex([(1, 2), range(10, 11 + MAX_FACET_SIZE)])
+    with pytest.raises(ValueError, match=f"at most {MAX_FACET_SIZE}"):
+        complex_loads('{"facets": [%s]}' % list(range(1, 61)))
 
 
 def test_face_count_inclusion_bound(corpus):

@@ -1,6 +1,7 @@
 import random
 import time
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -188,6 +189,12 @@ def test_stanley_reisner_generators():
 
     full = SimplicialComplex.from_facets([(1, 2, 3, 4)])
     assert stanley_reisner_generators(full) == []
+
+    hollow_tetrahedron = SimplicialComplex.from_facets(combinations((1, 2, 3, 4), 3))
+    assert stanley_reisner_generators(hollow_tetrahedron) == [(1, 2, 3, 4)]
+    # the apex lies in every facet, so it meets no complement
+    cone = SimplicialComplex.from_facets([(1, 2, 9), (2, 3, 9), (1, 3, 9), (4, 9)])
+    assert stanley_reisner_generators(cone) == [(1, 2, 3), (1, 4), (2, 4), (3, 4)]
 
 
 def test_stanley_reisner_generators_f1(tsc_friendship):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import tscomplex
+import tscomplex.complexes
 import tscomplex.homology
 from tscomplex import (
     Graph,
@@ -26,7 +27,13 @@ from tscomplex import (
     parse_field,
 )
 from conftest import all_labeled_graphs, random_complexes, tsc_of
-from oracles import brute_force_reduced_betti, dense_boundary_rank, sparse_product
+from oracles import (
+    brute_force_boundary_columns,
+    brute_force_reduced_betti,
+    dense_boundary_rank,
+    sorted_triplets,
+    sparse_product,
+)
 
 
 # --- fields -------------------------------------------------------------------
@@ -113,6 +120,37 @@ def test_export_triplets():
     assert text == "2 0 0 +1\n2 1 0 -1\n2 2 0 +1\n"
 
 
+def test_columns_and_triplets_match_the_definition(tsc_friendship):
+    # the matrix is stored by rows; its column view and its triplet text
+    # must still be those of the definition
+    complexes = [tsc_friendship[2], SimplicialComplex.from_facets(RP2),
+                 *random_complexes(200, seed=17)]
+    checked = 0
+    for cx in complexes:
+        for r in range(1, cx.dimension() + 1):
+            bm = boundary_matrix(cx, r)
+            columns = brute_force_boundary_columns(cx, r)
+            assert list(bm.columns) == columns, (cx, r)
+            assert export_triplets(bm) == sorted_triplets(r, columns), (cx, r)
+            assert [sorted(row) for row in bm.entries] == [list(row) for row in bm.entries]
+            checked += 1
+    assert checked >= 200
+
+
+def test_ranking_twice_leaves_the_matrix_unchanged(c42_fix):
+    # reduced rows become pivots without a copy, so the kernel must work on
+    # copies of the stored rows; ∂2 of both complexes reduces rows over Q
+    fields = (Rationals(), PrimeField(2), PrimeField(32003))
+    for cx, d1, d2 in ((SimplicialComplex.from_facets(RP2), (5, 5, 5), (10, 9, 10)),
+                       (c42_fix, (10, 10, 10), (45, 45, 45))):
+        for r, ranks in ((1, d1), (2, d2)):
+            bm = boundary_matrix(cx, r)
+            stored = [dict(row) for row in bm.entries]
+            assert [matrix_rank(bm, field) for field in fields * 2] == list(ranks * 2)
+            assert [dict(row) for row in bm.entries] == stored
+            assert list(bm.columns) == brute_force_boundary_columns(cx, r)
+
+
 # --- exact ranks ---------------------------------------------------------------
 
 
@@ -197,13 +235,39 @@ def test_graphs_and_vertex_links_need_no_elimination(monkeypatch):
 
 
 def test_graph_homology_lists_no_faces(monkeypatch):
-    def refuse(self):
-        raise AssertionError("the faces of a 1-dimensional complex were listed")
+    # a graph's faces are its vertices and its edges, both read off the facets
+    def refuse(*args):
+        raise AssertionError("the faces of a 1-dimensional complex were enumerated")
 
-    monkeypatch.setattr(SimplicialComplex, "all_faces", refuse)
+    monkeypatch.setattr(tscomplex.complexes, "combinations", refuse)
     triangle_and_point = SimplicialComplex.from_facets([(1, 2), (1, 3), (2, 3), (4,)])
     summary = homology_summary(triangle_and_point, Rationals())
     assert (summary.alpha, summary.reduced_betti) == ((4, 3), (1, 1))
+
+
+def test_homology_of_a_2_complex_takes_no_3_subsets(monkeypatch):
+    # the triangles of a pure 2-dimensional complex are its facets
+    taken = []
+
+    def recording(face, k):
+        taken.append(k)
+        return combinations(face, k)
+
+    cx = build_tsc(*gen_friendship(3))
+    monkeypatch.setattr(tscomplex.complexes, "combinations", recording)
+    summary = homology_summary(cx, Rationals())
+    assert (summary.alpha, summary.reduced_betti) == ((16, 105, 176), (0, 0, 86))
+    assert set(taken) == {2}
+
+
+def test_buchsbaum_check_lists_no_edges(monkeypatch):
+    # is_cm_t(cx, 1) visits only vertex links, which are graphs
+    def refuse(*args):
+        raise AssertionError("faces were enumerated from the facets")
+
+    cx = build_tsc(*gen_friendship(3))
+    monkeypatch.setattr(tscomplex.complexes, "combinations", refuse)
+    assert is_cm_t(cx, 1).verdict
 
 
 def test_euler_characteristic(corpus):
