@@ -57,7 +57,6 @@ from .tsc import (
     TotalIndexSet,
     build_tsc,
     c42_fixture,
-    friendship_facets_closed_form,
     total_indices,
 )
 
@@ -79,8 +78,8 @@ __all__ = [
     "SimplicialComplex",
     "TotalIndexSet",
     "TotalLabeling",
-    "build_tsc",
     "boundary_matrix",
+    "build_tsc",
     "c42_fixture",
     "complex_dumps",
     "complex_loads",
@@ -89,7 +88,6 @@ __all__ = [
     "export_triplets",
     "facet_ideal_decomposition",
     "friendship_cover_count",
-    "friendship_facets_closed_form",
     "gen_c42",
     "gen_friendship",
     "graph_dumps",

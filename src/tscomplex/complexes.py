@@ -3,7 +3,8 @@
 Faces are sorted tuples of integer vertex labels.  A complex is stored by its
 facets (the inclusion-maximal faces) in canonical order: ascending vertex
 lists compared lexicographically.  The complex whose only face is the empty
-face (the link of a facet) is representable and has dimension -1.
+face (the link of a facet), ``SimplicialComplex([()])``, is representable
+and has dimension -1.
 
 A complex is built on one of two paths.  The public ones (the constructor,
 :meth:`SimplicialComplex.from_facets` and JSON input) validate every
@@ -132,11 +133,6 @@ class SimplicialComplex:
             raise ValueError("generating sets must be non-empty")
         return cls(sets)
 
-    @classmethod
-    def empty(cls) -> "SimplicialComplex":
-        """The complex {∅} containing only the empty face (dimension -1)."""
-        return cls([()])
-
     # -- basic structure ----------------------------------------------------
 
     @property
@@ -153,13 +149,6 @@ class SimplicialComplex:
     def is_pure(self) -> bool:
         sizes = {len(f) for f in self._facets}
         return len(sizes) == 1
-
-    def all_faces(self) -> dict[int, list[Face]]:
-        """All faces grouped by dimension, each group in canonical order.
-
-        The empty face is not listed (it is a face of every complex here).
-        """
-        return {k: self.faces(k) for k in range(self._dim + 1)}
 
     def faces(self, k: int) -> list[Face]:
         """The k-dimensional faces in canonical order (empty list if none),
@@ -189,9 +178,6 @@ class SimplicialComplex:
         if self._masks is None:
             self._masks = vertex_masks(self._facets)
         return _meet(self._masks, face)
-
-    def has_face(self, face) -> bool:
-        return self._facets_through(_as_face(face)) != 0
 
     def f_vector(self) -> tuple[int, ...]:
         """(alpha_0, ..., alpha_dim): face counts per dimension."""

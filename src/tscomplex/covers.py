@@ -158,10 +158,10 @@ def friendship_cover_count(n: int) -> int:
     """Closed-form cover count for the friendship-family TSC, n >= 2.
 
     Enumeration is authoritative and shows this formula counts exactly the
-    minimal covers of cardinality 3n+1 for n = 2..7; for n >= 2 the complex
-    also has larger minimal covers the formula does not see.  For n = 2..7
+    minimal covers of cardinality 3n+1 for n = 2..8; for n >= 2 the complex
+    also has larger minimal covers the formula does not see.  For n = 2..8
     these are 4n + 1 covers of size 4n (9 of size 8 at n = 2, 13 of size 12
-    at n = 3, up to 29 of size 28 at n = 7), a pattern observed by
+    at n = 3, up to 33 of size 32 at n = 8), a pattern observed by
     enumeration, not a proven one.  At n = 1 the formula (value 10)
     disagrees even with the size-4 census (15 covers: the complex is the
     full 2-skeleton on six vertices, so the minimal covers are the

@@ -67,9 +67,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
     def isolated_vertices(self) -> tuple[int, ...]:
         touched = {v for e in self.edges for v in e}
         return tuple(v for v in range(1, self.m + 1) if v not in touched)

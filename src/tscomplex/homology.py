@@ -4,14 +4,14 @@ The boundary of an r-face drops one vertex at a time with alternating signs,
 positions taken in ascending vertex order; bases are the canonical face
 orders of the complex, so matrices are identical across runs.
 
-Matrices are stored by rows, one ``{column: entry}`` dict per (r-1)-face,
-filled straight from the r-faces; the columns are a view derived on
-request.  One exact kernel ranks sparse vectors over every field by
-reduction on the lowest index (Kaczynski, Mischaikow & Mrozek,
-*Computational Homology*, 2004).  Over GF(p) it works with Python ints
-mod p, so no prime overflows it; over the rationals entries stay ints
-until a pivot other than +-1 makes fractions.  The default working field
-is GF(32003); the rationals serve as the independent verification route.
+Matrices are stored by rows only, one ``{column: entry}`` dict per
+(r-1)-face, filled straight from the r-faces.  One exact kernel ranks
+sparse vectors over every field by reduction on the lowest index
+(Kaczynski, Mischaikow & Mrozek, *Computational Homology*, 2004).  Over
+GF(p) it works with Python ints mod p, so no prime overflows it; over
+the rationals entries stay ints until a pivot other than +-1 makes
+fractions.  The default working field is GF(32003); the rationals serve
+as the independent verification route.
 
 :func:`matrix_rank` hands the kernel the stored rows of ∂_r, not its
 columns.  A column reduction spends most of its work on the columns that end up zero,
@@ -112,22 +112,13 @@ class BoundaryMatrix:
 
     Rows are the (r-1)-faces, columns the r-faces; ``entries[i]`` maps the
     column index of each nonzero entry of row i to its sign, +1 or -1, in
-    ascending column order.  ``columns`` is a read-only view built from the
-    rows on each access: ``columns[j]`` maps row indices to signs.
+    ascending column order.
     """
 
     r: int
     rows: tuple[Face, ...]
     cols: tuple[Face, ...]
     entries: tuple[dict[int, int], ...]
-
-    @property
-    def columns(self) -> tuple[dict[int, int], ...]:
-        columns = tuple({} for _ in self.cols)
-        for i, row in enumerate(self.entries):
-            for j, v in row.items():
-                columns[j][i] = v
-        return columns
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -167,10 +158,15 @@ def _column_rank(columns, p: int) -> int:
     sparse columns (or rows: :func:`matrix_rank` passes rows, keyed by
     column index).  Pivot columns are kept scaled to a lowest entry of 1; a
     column sheds multiples of them until its lowest row is no pivot's.  The
-    input is never modified: each column is reduced in a copy."""
+    input is never modified: each column is reduced in a copy.
+
+    The input entries are boundary signs, +-1, and never 0 mod p, so the
+    copy is taken as it is: an entry may read -1 rather than p - 1 until
+    the reduction writes it, and every entry the reduction writes is
+    reduced mod p."""
     pivots: dict[int, dict] = {}
     for col in columns:
-        col = {i: x for i, v in col.items() if (x := v % p)} if p else dict(col)
+        col = dict(col)
         while col:
             low = max(col)
             pivot = pivots.get(low)

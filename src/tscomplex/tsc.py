@@ -5,17 +5,13 @@ connected subgraph of the total graph, i.e. at least two of its three pairs
 are adjacent-or-incident in the underlying graph.  Isolated vertices of the
 graph contribute singleton indices.  The total simplicial complex (TSC) is
 the complex generated by all total indices.
-
-For the friendship family the facet set also has a closed form, implemented
-here family by family; agreement with the definition-based construction is
-exercised by the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain, combinations
+from itertools import combinations
 
 from .complexes import Face, SimplicialComplex, complex_loads
 from .graphs import Graph, TotalLabeling, total_graph
@@ -60,96 +56,6 @@ def build_tsc(g: Graph, labeling: TotalLabeling) -> SimplicialComplex:
     """The total simplicial complex generated by the total indices, which
     are already its facets (see :func:`total_indices`)."""
     return SimplicialComplex._trusted(total_indices(g, labeling).all())
-
-
-def friendship_facets_closed_form(n: int) -> set[Face]:
-    """Facets of the friendship-graph TSC as explicit index families.
-
-    Thirteen families cover the facet set; paired sequences written side by
-    side iterate in lockstep (m-th entry with m-th entry) while trailing
-    ranges expand fully.  Empty ranges (small n) contribute nothing.
-    """
-    if n < 1:
-        raise ValueError(f"friendship family needs n >= 1, got {n}")
-    c = 5 * n + 1
-    base = 3 * n
-    facets: set[Face] = set()
-
-    def add(*vertices):
-        facets.add(tuple(sorted(vertices)))
-
-    # (1) the n outer triangles: vertex, outer edge, vertex
-    for i in range(1, 3 * n - 1, 3):
-        add(i, i + 1, i + 2)
-    # (2) outer vertex with any center edge and the center vertex
-    for i in chain(range(1, 3 * n - 1, 3), range(3, 3 * n + 1, 3)):
-        for j in range(base + 1, 5 * n + 1):
-            add(i, j, c)
-    # (3) any three center edges (they all share the center vertex)
-    for i, j, k in combinations(range(base + 1, 5 * n + 1), 3):
-        add(i, j, k)
-    # (4) any two center edges with the center vertex
-    for i, j in combinations(range(base + 1, 5 * n + 1), 2):
-        add(i, j, c)
-    # (5) outer edge endpoints with an incident center edge
-    for i, k in zip(range(1, 3 * n - 1, 3), range(1, 2 * n, 2)):
-        add(i, i + 1, base + k)
-        add(i, i + 1, base + k + 1)
-    for i, k in zip(range(2, 3 * n, 3), range(1, 2 * n, 2)):
-        add(i, i + 1, base + k)
-        add(i, i + 1, base + k + 1)
-    # (6) outer vertex, its outer edge, center vertex
-    for i in chain(range(1, 3 * n - 1, 3), range(2, 3 * n, 3)):
-        add(i, i + 1, c)
-    # (7) two outer vertices through the center vertex
-    for i in range(1, 3 * n - 4, 3):
-        for j in range(i + 3, 3 * n - 1, 3):
-            add(i, j, c)
-            add(i, j - 1, c)
-    for i in range(3, 3 * n - 2, 3):
-        for j in range(i + 1, 3 * n - 1, 3):
-            add(i, j, c)
-            add(i, j + 2, c)
-    for i in range(1, 3 * n - 1, 3):
-        add(i, 3 * n, c)
-    # (8) outer edge with an incident center edge and the center vertex
-    for i, j in zip(range(2, 3 * n, 3), range(1, 2 * n, 2)):
-        add(i, base + j, c)
-        add(i, base + j + 1, c)
-    # (9) outer edge with an incident center edge and any later center edge
-    for i, j in zip(range(2, 3 * n, 3), range(1, 2 * n, 2)):
-        for k in range(j + 1, 2 * n + 1):
-            add(i, base + j, base + k)
-    for i, j in zip(range(2, 3 * n - 3, 3), range(2, 2 * n - 1, 2)):
-        for k in range(j + 1, 2 * n + 1):
-            add(i, base + j, base + k)
-    # (10) outer edge with two center edges, indexed from the top
-    for i, j in zip(range(1, 3 * n - 4, 3), range(0, 2 * n - 3, 2)):
-        for k in range(j + 2, 2 * n):
-            add(3 * n - i, 5 * n - k, 5 * n - j)
-    for i, j in zip(range(1, 3 * n - 4, 3), range(1, 2 * n - 2, 2)):
-        for k in range(j + 1, 2 * n):
-            add(3 * n - i, 5 * n - k, 5 * n - j)
-    # (11) the two outer vertices of one triangle with an incident center edge
-    for i, j in zip(range(1, 3 * n - 1, 3), range(1, 2 * n, 2)):
-        add(i, i + 2, base + j)
-        add(i, i + 2, base + j + 1)
-    # (12) outer vertex with its center edge and any later center edge
-    for i, j in zip(range(1, 3 * n - 1, 3), range(1, 2 * n, 2)):
-        for k in range(j + 1, 2 * n + 1):
-            add(i, base + j, base + k)
-    for i, j in zip(range(3, 3 * n - 2, 3), range(2, 2 * n - 1, 2)):
-        for k in range(j + 1, 2 * n + 1):
-            add(i, base + j, base + k)
-    # (13) outer vertex with two center edges, indexed from the top
-    for i, j in zip(range(2, 3 * n - 3, 3), range(1, 2 * n - 2, 2)):
-        for k in range(j + 1, 2 * n):
-            add(3 * n - i, 5 * n - k, 5 * n - j)
-    for i, j in zip(range(0, 3 * n - 2, 3), range(0, 2 * n - 1, 2)):
-        for k in range(j + 1, 2 * n):
-            add(3 * n - i, 5 * n - k, 5 * n - j)
-
-    return facets
 
 
 def c42_fixture() -> SimplicialComplex:

@@ -5,11 +5,27 @@ fast implementations can be checked against them.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
-from tscomplex import Graph, SimplicialComplex, TotalIndexSet
+from tscomplex import Face, Graph, SimplicialComplex, TotalIndexSet
+
+
+def faces_by_dim(cx: SimplicialComplex) -> dict[int, list[Face]]:
+    """Every non-empty face of ``cx``, grouped by dimension, read off
+    :meth:`SimplicialComplex.faces`."""
+    return {k: cx.faces(k) for k in range(cx.dimension() + 1)}
+
+
+def columns_of(bm) -> list[dict[int, int]]:
+    """The columns of a boundary matrix, one ``{row: sign}`` dict per
+    r-face, transposed from its stored rows."""
+    columns = [{} for _ in bm.cols]
+    for i, row in enumerate(bm.entries):
+        for j, v in row.items():
+            columns[j][i] = v
+    return columns
 
 
 def brute_force_faces(cx: SimplicialComplex) -> dict[int, list[tuple[int, ...]]]:
@@ -87,7 +103,7 @@ def dense_rank(rows, p: int = 0) -> int:
 def dense_boundary_rank(bm, p: int = 0) -> int:
     """:func:`dense_rank` of a boundary matrix written out entry by entry
     (one dense list per column; a matrix and its transpose share a rank)."""
-    return dense_rank([[col.get(i, 0) for i in range(len(bm.rows))] for col in bm.columns], p)
+    return dense_rank([[col.get(i, 0) for i in range(len(bm.rows))] for col in columns_of(bm)], p)
 
 
 def brute_force_reduced_betti(facets) -> tuple[int, ...]:
@@ -142,8 +158,8 @@ def sparse_product(lower, upper) -> list[dict[int, int]]:
     if lower.shape[1] != upper.shape[0]:
         raise ValueError(f"shapes {lower.shape} and {upper.shape} do not compose")
     product = []
-    lower_columns = lower.columns
-    for col in upper.columns:
+    lower_columns = columns_of(lower)
+    for col in columns_of(upper):
         acc: dict[int, int] = {}
         for k, v in col.items():
             for i, w in lower_columns[k].items():
@@ -233,7 +249,7 @@ def brute_force_minimal_nonfaces(cx: SimplicialComplex) -> list[tuple[int, ...]]
     most dim + 2; singletons are faces by construction, so the search starts
     at pairs.
     """
-    faces = {face for group in cx.all_faces().values() for face in group}
+    faces = {face for group in faces_by_dim(cx).values() for face in group}
     generators: list[tuple[int, ...]] = []
     for size in range(2, cx.dimension() + 3):
         for cand in combinations(cx.vertices, size):
@@ -242,3 +258,106 @@ def brute_force_minimal_nonfaces(cx: SimplicialComplex) -> list[tuple[int, ...]]
             if all(cand[:i] + cand[i + 1:] in faces for i in range(size)):
                 generators.append(cand)
     return sorted(generators)
+
+
+def comparability_graph(facets) -> Graph:
+    """The comparability graph of the non-empty faces of the complex
+    generated by ``facets``: one vertex per face, numbered 1, 2, ... in
+    canonical order, and an edge for each pair with one face inside the
+    other.  It is the 1-skeleton of the barycentric subdivision."""
+    faces = sorted({face for f in facets for size in range(1, len(f) + 1)
+                    for face in combinations(sorted(f), size)})
+    number = {face: i for i, face in enumerate(faces, start=1)}
+    return Graph(len(faces), [(number[sub], number[face]) for face in faces
+                              for size in range(1, len(face))
+                              for sub in combinations(face, size)])
+
+
+def friendship_facets_closed_form(n: int) -> set[Face]:
+    """Facets of the friendship-graph TSC as explicit index families.
+
+    Thirteen families cover the facet set; paired sequences written side by
+    side iterate in lockstep (m-th entry with m-th entry) while trailing
+    ranges expand fully.  Empty ranges (small n) contribute nothing.
+    """
+    if n < 1:
+        raise ValueError(f"friendship family needs n >= 1, got {n}")
+    c = 5 * n + 1
+    base = 3 * n
+    facets: set[Face] = set()
+
+    def add(*vertices):
+        facets.add(tuple(sorted(vertices)))
+
+    # (1) the n outer triangles: vertex, outer edge, vertex
+    for i in range(1, 3 * n - 1, 3):
+        add(i, i + 1, i + 2)
+    # (2) outer vertex with any center edge and the center vertex
+    for i in chain(range(1, 3 * n - 1, 3), range(3, 3 * n + 1, 3)):
+        for j in range(base + 1, 5 * n + 1):
+            add(i, j, c)
+    # (3) any three center edges (they all share the center vertex)
+    for i, j, k in combinations(range(base + 1, 5 * n + 1), 3):
+        add(i, j, k)
+    # (4) any two center edges with the center vertex
+    for i, j in combinations(range(base + 1, 5 * n + 1), 2):
+        add(i, j, c)
+    # (5) outer edge endpoints with an incident center edge
+    for i, k in zip(range(1, 3 * n - 1, 3), range(1, 2 * n, 2)):
+        add(i, i + 1, base + k)
+        add(i, i + 1, base + k + 1)
+    for i, k in zip(range(2, 3 * n, 3), range(1, 2 * n, 2)):
+        add(i, i + 1, base + k)
+        add(i, i + 1, base + k + 1)
+    # (6) outer vertex, its outer edge, center vertex
+    for i in chain(range(1, 3 * n - 1, 3), range(2, 3 * n, 3)):
+        add(i, i + 1, c)
+    # (7) two outer vertices through the center vertex
+    for i in range(1, 3 * n - 4, 3):
+        for j in range(i + 3, 3 * n - 1, 3):
+            add(i, j, c)
+            add(i, j - 1, c)
+    for i in range(3, 3 * n - 2, 3):
+        for j in range(i + 1, 3 * n - 1, 3):
+            add(i, j, c)
+            add(i, j + 2, c)
+    for i in range(1, 3 * n - 1, 3):
+        add(i, 3 * n, c)
+    # (8) outer edge with an incident center edge and the center vertex
+    for i, j in zip(range(2, 3 * n, 3), range(1, 2 * n, 2)):
+        add(i, base + j, c)
+        add(i, base + j + 1, c)
+    # (9) outer edge with an incident center edge and any later center edge
+    for i, j in zip(range(2, 3 * n, 3), range(1, 2 * n, 2)):
+        for k in range(j + 1, 2 * n + 1):
+            add(i, base + j, base + k)
+    for i, j in zip(range(2, 3 * n - 3, 3), range(2, 2 * n - 1, 2)):
+        for k in range(j + 1, 2 * n + 1):
+            add(i, base + j, base + k)
+    # (10) outer edge with two center edges, indexed from the top
+    for i, j in zip(range(1, 3 * n - 4, 3), range(0, 2 * n - 3, 2)):
+        for k in range(j + 2, 2 * n):
+            add(3 * n - i, 5 * n - k, 5 * n - j)
+    for i, j in zip(range(1, 3 * n - 4, 3), range(1, 2 * n - 2, 2)):
+        for k in range(j + 1, 2 * n):
+            add(3 * n - i, 5 * n - k, 5 * n - j)
+    # (11) the two outer vertices of one triangle with an incident center edge
+    for i, j in zip(range(1, 3 * n - 1, 3), range(1, 2 * n, 2)):
+        add(i, i + 2, base + j)
+        add(i, i + 2, base + j + 1)
+    # (12) outer vertex with its center edge and any later center edge
+    for i, j in zip(range(1, 3 * n - 1, 3), range(1, 2 * n, 2)):
+        for k in range(j + 1, 2 * n + 1):
+            add(i, base + j, base + k)
+    for i, j in zip(range(3, 3 * n - 2, 3), range(2, 2 * n - 1, 2)):
+        for k in range(j + 1, 2 * n + 1):
+            add(i, base + j, base + k)
+    # (13) outer vertex with two center edges, indexed from the top
+    for i, j in zip(range(2, 3 * n - 3, 3), range(1, 2 * n - 2, 2)):
+        for k in range(j + 1, 2 * n):
+            add(3 * n - i, 5 * n - k, 5 * n - j)
+    for i, j in zip(range(0, 3 * n - 2, 3), range(0, 2 * n - 1, 2)):
+        for k in range(j + 1, 2 * n):
+            add(3 * n - i, 5 * n - k, 5 * n - j)
+
+    return facets

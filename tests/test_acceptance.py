@@ -36,7 +36,6 @@ from tscomplex import (
     default_labeling,
     euler_characteristic,
     friendship_cover_count,
-    friendship_facets_closed_form,
     gen_friendship,
     homology_summary,
     is_cm,
@@ -52,6 +51,8 @@ from oracles import (
     brute_force_faces,
     brute_force_minimal_covers,
     brute_force_reduced_betti,
+    faces_by_dim,
+    friendship_facets_closed_form,
     sparse_product,
 )
 
@@ -269,7 +270,7 @@ def test_criterion_9_algebraic_invariants(corpus):
         alt_betti = sum((-1) ** k * b for k, b in enumerate(summary.betti))
         if alt_alpha != alt_betti:
             errors.append(f"{name}: Euler {alt_alpha} != alternating Betti sum {alt_betti}")
-        if len(cx.vertices) <= 12 and cx.all_faces() != brute_force_faces(cx):
+        if len(cx.vertices) <= 12 and faces_by_dim(cx) != brute_force_faces(cx):
             errors.append(f"{name}: face enumeration differs from brute force")
         if len(cx.vertices) <= 16:
             enumerated = list(minimal_vertex_covers(cx).covers)

@@ -6,7 +6,7 @@ import tscomplex.complexes
 from tscomplex import SimplicialComplex, complex_dumps, complex_loads
 from tscomplex.complexes import MAX_FACET_SIZE
 from conftest import all_labeled_graphs, random_complexes, tsc_of
-from oracles import brute_force_antichain, brute_force_faces, facet_component_count
+from oracles import brute_force_antichain, brute_force_faces, faces_by_dim, facet_component_count
 
 
 def test_from_facets_drops_dominated_sets():
@@ -100,7 +100,7 @@ def test_facet_connectivity(corpus):
     assert corpus["tsc_f1"].is_facet_connected()
     assert not corpus["two_disjoint_edges"].is_facet_connected()
     assert not corpus["two_points"].is_facet_connected()
-    assert SimplicialComplex.empty().is_facet_connected()
+    assert SimplicialComplex([()]).is_facet_connected()
     assert SimplicialComplex.from_facets([(1, 2, 3)]).is_facet_connected()
 
 
@@ -113,7 +113,7 @@ def test_component_count_matches_bfs_oracle(corpus):
     for cx in complexes:
         assert cx.component_count() == facet_component_count(cx), cx
         assert cx.is_facet_connected() == (facet_component_count(cx) <= 1), cx
-    assert SimplicialComplex.empty().component_count() == 0
+    assert SimplicialComplex([()]).component_count() == 0
 
 
 def test_link_of_vertex_in_simplex():
@@ -148,14 +148,13 @@ def test_link_rejects_non_face(corpus):
 def test_link_faces_recombine_into_faces(corpus):
     for name in ("tsc_p3", "c42_fixture", "hollow_triangle", "two_triangles_shared_vertex"):
         cx = corpus[name]
-        faces = [face for group in cx.all_faces().values() for face in group]
+        faces = [face for group in faces_by_dim(cx).values() for face in group]
         face_set = set(faces)
         for sigma in faces:
-            in_link = {tau for group in cx.link(sigma).all_faces().values() for tau in group}
+            in_link = {tau for group in faces_by_dim(cx.link(sigma)).values() for tau in group}
             assert in_link <= face_set
             for tau in faces:
                 union = tuple(sorted(set(tau) | set(sigma)))
-                assert cx.has_face(union) == (union in face_set)
                 # tau lies in the link iff it is disjoint from sigma and recombines with it
                 recombines = not set(tau) & set(sigma) and union in face_set
                 assert (tau in in_link) == recombines, (name, sigma, tau)
@@ -164,7 +163,7 @@ def test_link_faces_recombine_into_faces(corpus):
 def test_all_faces_against_brute_force(corpus):
     for name, cx in corpus.items():
         if len(cx.vertices) <= 12:
-            assert cx.all_faces() == brute_force_faces(cx), name
+            assert faces_by_dim(cx) == brute_force_faces(cx), name
 
 
 def test_faces_by_dimension_are_the_brute_force_lists(corpus):
@@ -178,11 +177,11 @@ def test_faces_by_dimension_are_the_brute_force_lists(corpus):
         expected = brute_force_faces(cx)
         for k in (2, 0, 1, *range(-2, cx.dimension() + 3)):  # out of order, then again
             assert cx.faces(k) == expected.get(k, []), (cx, k)
-        assert cx.all_faces() == expected
+        assert faces_by_dim(cx) == expected
         assert cx.f_vector() == tuple(len(expected[k]) for k in range(cx.dimension() + 1))
-    empty = SimplicialComplex.empty()
+    empty = SimplicialComplex([()])
     assert [empty.faces(k) for k in (-1, 0, 1)] == [[], [], []]
-    assert (empty.all_faces(), empty.f_vector()) == ({}, ())
+    assert (faces_by_dim(empty), empty.f_vector()) == ({}, ())
 
 
 def test_facet_size_cap_refuses_before_listing_faces(monkeypatch):
@@ -239,8 +238,6 @@ def test_non_integer_vertices_are_refused(face):
     cx = SimplicialComplex([(1, 2)])
     with pytest.raises(ValueError, match="must be an integer"):
         cx.link(face[:1])
-    with pytest.raises(ValueError, match="must be an integer"):
-        cx.has_face(face)
 
 
 @pytest.mark.parametrize("text", [

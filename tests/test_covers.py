@@ -213,7 +213,7 @@ def test_stanley_reisner_generators_match_brute_force(tsc_friendship, c42_built,
     complexes = [*random_complexes(300, seed=5), *(tsc_of(g) for g in all_labeled_graphs(5))]
     complexes += [tsc_friendship[n] for n in (1, 2, 3)]
     complexes += [build_tsc(*gen_friendship(n)) for n in (4, 5, 6)]
-    complexes += [c42_built, c42_fix, SimplicialComplex.empty(),
+    complexes += [c42_built, c42_fix, SimplicialComplex([()]),
                   SimplicialComplex.from_facets([(1, 2, 3, 4, 5)]),
                   SimplicialComplex.from_facets([(9, 1, 2), (9, 2, 3), (9, 3, 4), (9, 5)])]
     for cx in complexes:

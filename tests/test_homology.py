@@ -18,11 +18,14 @@ from tscomplex import (
     SimplicialComplex,
     boundary_matrix,
     build_tsc,
+    default_labeling,
     euler_characteristic,
     export_triplets,
     gen_friendship,
     homology_summary,
+    is_cm,
     is_cm_t,
+    is_connected,
     matrix_rank,
     parse_field,
 )
@@ -30,6 +33,8 @@ from conftest import all_labeled_graphs, random_complexes, tsc_of
 from oracles import (
     brute_force_boundary_columns,
     brute_force_reduced_betti,
+    columns_of,
+    comparability_graph,
     dense_boundary_rank,
     sorted_triplets,
     sparse_product,
@@ -77,14 +82,14 @@ def test_boundary_of_triangle_has_alternating_signs():
     bm = boundary_matrix(cx, 2)
     assert bm.rows == ((1, 2), (1, 3), (2, 3))
     assert bm.cols == ((1, 2, 3),)
-    assert bm.columns[0] == {0: 1, 1: -1, 2: 1}  # (2,3) - (1,3) + (1,2)
+    assert bm.entries == ({0: 1}, {0: -1}, {0: 1})  # (2,3) - (1,3) + (1,2)
 
 
 def test_boundary_of_edge():
     cx = SimplicialComplex.from_facets([(1, 2)])
     bm = boundary_matrix(cx, 1)
     assert bm.rows == ((1,), (2,))
-    assert bm.columns[0] == {0: -1, 1: 1}  # (2) - (1)
+    assert bm.entries == ({0: -1}, {0: 1})  # (2) - (1)
 
 
 def test_boundary_shapes_f1(tsc_friendship):
@@ -111,7 +116,7 @@ def test_column_sparsity_pattern(corpus):
     for cx in (corpus["tsc_f2"], corpus["c42_fixture"]):
         for r in (1, 2):
             bm = boundary_matrix(cx, r)
-            assert all(len(col) == r + 1 and 0 not in col.values() for col in bm.columns)
+            assert all(len(col) == r + 1 and 0 not in col.values() for col in columns_of(bm))
 
 
 def test_export_triplets():
@@ -121,7 +126,7 @@ def test_export_triplets():
 
 
 def test_columns_and_triplets_match_the_definition(tsc_friendship):
-    # the matrix is stored by rows; its column view and its triplet text
+    # the matrix is stored by rows; its transpose and its triplet text
     # must still be those of the definition
     complexes = [tsc_friendship[2], SimplicialComplex.from_facets(RP2),
                  *random_complexes(200, seed=17)]
@@ -130,7 +135,7 @@ def test_columns_and_triplets_match_the_definition(tsc_friendship):
         for r in range(1, cx.dimension() + 1):
             bm = boundary_matrix(cx, r)
             columns = brute_force_boundary_columns(cx, r)
-            assert list(bm.columns) == columns, (cx, r)
+            assert columns_of(bm) == columns, (cx, r)
             assert export_triplets(bm) == sorted_triplets(r, columns), (cx, r)
             assert [sorted(row) for row in bm.entries] == [list(row) for row in bm.entries]
             checked += 1
@@ -140,15 +145,15 @@ def test_columns_and_triplets_match_the_definition(tsc_friendship):
 def test_ranking_twice_leaves_the_matrix_unchanged(c42_fix):
     # reduced rows become pivots without a copy, so the kernel must work on
     # copies of the stored rows; ∂2 of both complexes reduces rows over Q
-    fields = (Rationals(), PrimeField(2), PrimeField(32003))
-    for cx, d1, d2 in ((SimplicialComplex.from_facets(RP2), (5, 5, 5), (10, 9, 10)),
-                       (c42_fix, (10, 10, 10), (45, 45, 45))):
+    fields = (Rationals(), PrimeField(2), PrimeField(3), PrimeField(32003), PrimeField(4294967311))
+    for cx, d1, d2 in ((SimplicialComplex.from_facets(RP2), (5,) * 5, (10, 9, 10, 10, 10)),
+                       (c42_fix, (10,) * 5, (45,) * 5)):
         for r, ranks in ((1, d1), (2, d2)):
             bm = boundary_matrix(cx, r)
             stored = [dict(row) for row in bm.entries]
             assert [matrix_rank(bm, field) for field in fields * 2] == list(ranks * 2)
             assert [dict(row) for row in bm.entries] == stored
-            assert list(bm.columns) == brute_force_boundary_columns(cx, r)
+            assert columns_of(bm) == brute_force_boundary_columns(cx, r)
 
 
 # --- exact ranks ---------------------------------------------------------------
@@ -198,7 +203,7 @@ def test_homology_of_circle_and_points():
 
 
 def test_homology_of_empty_complex():
-    assert homology_summary(SimplicialComplex.empty()).betti == ()
+    assert homology_summary(SimplicialComplex([()])).betti == ()
 
 
 def test_field_independence_on_corpus(corpus):
@@ -308,6 +313,26 @@ def test_kernel_sees_the_characteristic_on_rp2():
     suspension = SimplicialComplex.from_facets(f + (apex,) for f in RP2 for apex in (7, 8))
     assert homology_summary(suspension, Rationals()).reduced_betti == (0, 0, 0, 0)
     assert homology_summary(suspension, PrimeField(2)).reduced_betti == (0, 0, 1, 1)
+
+
+def test_tsc_cm_verdict_depends_on_the_field():
+    # the graph is the 1-skeleton of the barycentric subdivision of RP2; its
+    # TSC inherits RP2's 2-torsion, so it is CM over Q and GF(3) but not GF(2)
+    g = comparability_graph(RP2)
+    assert (g.m, g.edge_count) == (31, 90) and is_connected(g)
+    cx = build_tsc(g, default_labeling(g))
+    assert cx.f_vector() == (121, 3420, 6500)
+    for field in (Rationals(), PrimeField(3)):
+        assert homology_summary(cx, field).reduced_betti == (0, 0, 3200), field
+        report = is_cm(cx, field)
+        assert report.verdict and report.witness is None, field
+        assert is_cm_t(cx, 1, field).verdict, field
+    gf2 = PrimeField(2)
+    assert homology_summary(cx, gf2).reduced_betti == (0, 1, 3201)
+    report = is_cm(cx, gf2)
+    assert not report.verdict
+    assert (report.witness.face, report.witness.r) == ((), 1)
+    assert is_cm_t(cx, 1, gf2).verdict
 
 
 def test_q_rank_leaves_the_integers_on_rp2_and_its_suspension(monkeypatch):

@@ -10,7 +10,6 @@ from tscomplex import (
     TotalLabeling,
     build_tsc,
     default_labeling,
-    friendship_facets_closed_form,
     gen_c42,
     gen_friendship,
     is_connected,
@@ -18,7 +17,7 @@ from tscomplex import (
     total_indices,
 )
 from conftest import all_labeled_graphs, tsc_of
-from oracles import brute_force_total_indices
+from oracles import brute_force_total_indices, friendship_facets_closed_form
 
 
 def test_total_indices_k2():
