@@ -47,8 +47,6 @@ from .homology import (
     PrimeField,
     Rationals,
     boundary_matrix,
-    euler_characteristic,
-    export_triplets,
     homology_summary,
     matrix_rank,
     parse_field,
@@ -84,8 +82,6 @@ __all__ = [
     "complex_dumps",
     "complex_loads",
     "default_labeling",
-    "euler_characteristic",
-    "export_triplets",
     "facet_ideal_decomposition",
     "friendship_cover_count",
     "gen_c42",

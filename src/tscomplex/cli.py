@@ -80,33 +80,45 @@ def main():
 main.command_class = _Command
 
 
-@main.command()
-@click.argument("family", type=click.Choice(["friendship", "c42", "edge-list"]))
-@click.option("--n", type=int, default=None, help="Triangle count for the friendship family.")
-@click.option("-m", "--m", "m", type=int, default=None, help="Vertex count for edge-list input.")
-@click.option("-e", "--edge", "edges", multiple=True, help="Edge 'u,v' (repeatable).")
-@click.option("--out", type=str, default=None, help="Output file (stdout otherwise).")
-def gen(family, n, m, edges, out):
+@main.group()
+def gen():
     """Write a labeled graph as canonical JSON."""
-    if family == "friendship":
-        if n is None:
-            raise ValueError("gen friendship requires --n")
-        g, labeling = gen_friendship(n)
-    elif family == "c42":
-        g, labeling = gen_c42()
-    else:
-        if m is None:
-            raise ValueError("gen edge-list requires --m")
-        pairs = []
-        for text in edges:
-            u, _, v = text.partition(",")
-            try:
-                pairs.append((int(u), int(v)))
-            except ValueError:
-                raise ValueError(f"bad edge {text!r}; expected 'u,v'") from None
-        g = Graph(m, pairs)
-        labeling = default_labeling(g)
-    _emit(graph_dumps(g, labeling), out)
+
+
+gen.command_class = _Command
+_out = click.option("--out", type=str, default=None, help="Output file (stdout otherwise).")
+
+
+@gen.command("friendship")
+@click.option("--n", type=int, required=True, help="Triangle count.")
+@_out
+def gen_friendship_graph(n, out):
+    """Friendship graph: n triangles sharing one vertex."""
+    _emit(graph_dumps(*gen_friendship(n)), out)
+
+
+@gen.command("c42")
+@_out
+def gen_c42_graph(out):
+    """Two 4-cycles sharing a path of length two."""
+    _emit(graph_dumps(*gen_c42()), out)
+
+
+@gen.command("edge-list")
+@click.option("-m", "--m", "m", type=int, required=True, help="Vertex count.")
+@click.option("-e", "--edge", "edges", multiple=True, help="Edge 'u,v' (repeatable).")
+@_out
+def gen_edge_list(m, edges, out):
+    """Any graph on vertices 1..m, with the default labeling."""
+    pairs = []
+    for text in edges:
+        u, _, v = text.partition(",")
+        try:
+            pairs.append((int(u), int(v)))
+        except ValueError:
+            raise ValueError(f"bad edge {text!r}; expected 'u,v'") from None
+    g = Graph(m, pairs)
+    _emit(graph_dumps(g, default_labeling(g)), out)
 
 
 @main.command()

@@ -127,8 +127,6 @@ class SimplicialComplex:
         """Build a complex from non-empty generating sets; dominated sets are
         dropped and the rest canonically ordered."""
         sets = [tuple(s) for s in sets]
-        if not sets:
-            raise ValueError("empty generating family")
         if any(not s for s in sets):
             raise ValueError("generating sets must be non-empty")
         return cls(sets)

@@ -78,7 +78,8 @@ class TotalLabeling:
     onto {1, ..., N}.
 
     ``vertex_labels[i-1]`` is the label of vertex i; ``edge_labels[k-1]`` is
-    the label of the k-th edge in the graph's canonical edge order.
+    the label of the k-th edge in the graph's canonical edge order.  A label
+    that is not an integer (a bool or a float included) is refused.
     """
 
     vertex_labels: tuple[int, ...]
@@ -86,6 +87,8 @@ class TotalLabeling:
 
     def __post_init__(self):
         labels = tuple(self.vertex_labels) + tuple(self.edge_labels)
+        for label in labels:
+            json_int(label, "a label")
         n = len(labels)
         if set(labels) != set(range(1, n + 1)):
             raise ValueError(f"labels must be a bijection onto 1..{n}, got {labels}")
@@ -209,10 +212,8 @@ def is_connected(g: Graph) -> bool:
 #  "labels": {"v<i>": label, "e<k>": label}}   (labels optional)
 
 
-def graph_dumps(g: Graph, labeling: TotalLabeling | None = None) -> str:
+def graph_dumps(g: Graph, labeling: TotalLabeling) -> str:
     """Canonical (byte-stable) JSON text for a labeled graph."""
-    if labeling is None:
-        labeling = default_labeling(g)
     if not labeling.matches(g):
         raise ValueError("labeling does not match graph")
     labels = {f"v{i}": labeling.vertex_label(i) for i in range(1, g.m + 1)}
@@ -233,9 +234,8 @@ def graph_loads(text: str) -> tuple[Graph, TotalLabeling]:
         return g, default_labeling(g)
     try:
         labeling = TotalLabeling(
-            vertex_labels=tuple(json_int(labels[f"v{i}"], "a label") for i in range(1, g.m + 1)),
-            edge_labels=tuple(json_int(labels[f"e{k}"], "a label")
-                              for k in range(1, g.edge_count + 1)),
+            vertex_labels=tuple(labels[f"v{i}"] for i in range(1, g.m + 1)),
+            edge_labels=tuple(labels[f"e{k}"] for k in range(1, g.edge_count + 1)),
         )
     except KeyError as exc:
         raise ValueError(f"graph JSON labels incomplete: missing {exc}") from exc

@@ -143,13 +143,6 @@ def boundary_matrix(cx: SimplicialComplex, r: int) -> BoundaryMatrix:
     return BoundaryMatrix(r=r, rows=rows, cols=cols, entries=entries)
 
 
-def export_triplets(bm: BoundaryMatrix) -> str:
-    """Sparse triplet text: one "r row col value" line per nonzero entry,
-    in row-major order."""
-    return "".join(f"{bm.r} {i} {j} {v:+d}\n"
-                   for i, row in enumerate(bm.entries) for j, v in row.items())
-
-
 # --- exact rank ---------------------------------------------------------------
 
 
@@ -273,8 +266,3 @@ def homology_summary(cx: SimplicialComplex, field: FieldSpec = DEFAULT_FIELD) ->
         betti=tuple(betti),
         reduced_betti=tuple(reduced),
     )
-
-
-def euler_characteristic(cx: SimplicialComplex) -> int:
-    """Alternating sum of the face counts."""
-    return sum((-1) ** k * alpha_k for k, alpha_k in enumerate(cx.f_vector()))

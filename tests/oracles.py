@@ -145,11 +145,9 @@ def brute_force_boundary_columns(cx: SimplicialComplex, r: int) -> list[dict[int
             for face in faces[r]]
 
 
-def sorted_triplets(r: int, columns) -> str:
-    """"r row col value" lines for the nonzero entries of sparse columns,
-    sorted by (row, column)."""
-    entries = sorted((i, j, v) for j, col in enumerate(columns) for i, v in col.items())
-    return "".join(f"{r} {i} {j} {v:+d}\n" for i, j, v in entries)
+def euler_characteristic(cx: SimplicialComplex) -> int:
+    """Alternating sum of the face counts."""
+    return sum((-1) ** k * alpha_k for k, alpha_k in enumerate(cx.f_vector()))
 
 
 def sparse_product(lower, upper) -> list[dict[int, int]]:

@@ -34,7 +34,6 @@ from tscomplex import (
     boundary_matrix,
     build_tsc,
     default_labeling,
-    euler_characteristic,
     friendship_cover_count,
     gen_friendship,
     homology_summary,
@@ -51,6 +50,7 @@ from oracles import (
     brute_force_faces,
     brute_force_minimal_covers,
     brute_force_reduced_betti,
+    euler_characteristic,
     faces_by_dim,
     friendship_facets_closed_form,
     sparse_product,

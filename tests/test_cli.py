@@ -53,6 +53,27 @@ def test_gen_rejects_bad_params(runner):
     assert invoke(runner, "gen", "edge-list", "-m", "2", "-e", "1-2").exit_code == 2
 
 
+@pytest.mark.parametrize("args, option", [
+    (["c42", "--n", "3"], "--n"),
+    (["friendship", "--n", "1", "-m", "5", "-e", "1,2"], "-m"),
+    (["edge-list", "-m", "2", "-e", "1,2", "--n", "4"], "--n"),
+    (["friendship"], "--n"),
+    (["edge-list", "-e", "1,2"], "-m"),
+])
+def test_gen_takes_only_the_options_its_family_reads(runner, args, option):
+    # each family is a subcommand that declares only the options it reads
+    result = invoke(runner, "gen", *args)
+    _assert_refused(result)
+    assert f"'{option}'" in _error_lines(result)[0]
+
+
+def test_bare_gen_shows_its_help_like_bare_tscomplex(runner):
+    bare, gen = invoke(runner), invoke(runner, "gen")
+    assert gen.exit_code == bare.exit_code
+    assert "Commands:" in gen.output
+    assert all(name in gen.output for name in ("friendship", "c42", "edge-list"))
+
+
 def test_pipeline_gen_tsc_fvector(runner, tmp_path):
     gpath, cpath = tmp_path / "g.json", tmp_path / "c.json"
     assert invoke(runner, "gen", "friendship", "--n", "1", "--out", str(gpath)).exit_code == 0

@@ -163,6 +163,11 @@ def test_many_singleton_facets_have_one_cover():
     assert rep.unmixed
 
 
+def test_the_empty_facet_cannot_be_covered():
+    with pytest.raises(ValueError, match="the empty facet cannot be covered"):
+        minimal_vertex_covers(SimplicialComplex([()]))
+
+
 def test_decomposition_of_path():
     cx = SimplicialComplex.from_facets([(1, 2), (2, 3)])
     comps = facet_ideal_decomposition(cx)

@@ -106,6 +106,13 @@ def test_labeling_requires_bijection():
         TotalLabeling(vertex_labels=(1, 2), edge_labels=(4,))
 
 
+@pytest.mark.parametrize("label", [1.0, True, "3"])
+def test_labeling_refuses_non_integer_labels(label):
+    # 1.0 and True would pass the bijection test, since 1.0 == True == 1
+    with pytest.raises(ValueError, match=f"a label must be an integer, got {label!r}"):
+        TotalLabeling(vertex_labels=(label, 2), edge_labels=(3,))
+
+
 def test_gen_friendship_n1_labels():
     g, lab = gen_friendship(1)
     assert (g.m, g.edge_count) == (3, 3)
@@ -247,6 +254,20 @@ def test_graph_json_roundtrip_is_byte_stable():
         g2, lab2 = graph_loads(text)
         assert (g2, lab2) == (g, lab)
         assert graph_dumps(g2, lab2) == text
+
+
+def test_graph_json_writes_no_label_it_refuses_to_read():
+    # the labeling that would be written as "v1": 1.0 cannot be made
+    with pytest.raises(ValueError, match="a label must be an integer, got 1.0"):
+        graph_dumps(Graph(2, [(1, 2)]), TotalLabeling((1.0, 2), (3,)))
+    with pytest.raises(ValueError, match="a label must be an integer, got 1.0"):
+        graph_loads('{"m": 2, "edges": [[1, 2]], "labels": {"v1": 1.0, "v2": 2, "e1": 3}}')
+
+
+def test_graph_dumps_refuses_another_graphs_labeling():
+    g, _ = gen_c42()
+    with pytest.raises(ValueError, match="labeling does not match graph"):
+        graph_dumps(g, gen_friendship(1)[1])
 
 
 def test_graph_json_default_labeling_when_absent():

@@ -19,8 +19,6 @@ from tscomplex import (
     boundary_matrix,
     build_tsc,
     default_labeling,
-    euler_characteristic,
-    export_triplets,
     gen_friendship,
     homology_summary,
     is_cm,
@@ -36,7 +34,7 @@ from oracles import (
     columns_of,
     comparability_graph,
     dense_boundary_rank,
-    sorted_triplets,
+    euler_characteristic,
     sparse_product,
 )
 
@@ -119,15 +117,9 @@ def test_column_sparsity_pattern(corpus):
             assert all(len(col) == r + 1 and 0 not in col.values() for col in columns_of(bm))
 
 
-def test_export_triplets():
-    cx = SimplicialComplex.from_facets([(1, 2, 3)])
-    text = export_triplets(boundary_matrix(cx, 2))
-    assert text == "2 0 0 +1\n2 1 0 -1\n2 2 0 +1\n"
-
-
 def test_columns_and_triplets_match_the_definition(tsc_friendship):
-    # the matrix is stored by rows; its transpose and its triplet text
-    # must still be those of the definition
+    # the matrix is stored by rows, each in ascending column order; its
+    # transpose must still be the columns of the definition
     complexes = [tsc_friendship[2], SimplicialComplex.from_facets(RP2),
                  *random_complexes(200, seed=17)]
     checked = 0
@@ -136,7 +128,6 @@ def test_columns_and_triplets_match_the_definition(tsc_friendship):
             bm = boundary_matrix(cx, r)
             columns = brute_force_boundary_columns(cx, r)
             assert columns_of(bm) == columns, (cx, r)
-            assert export_triplets(bm) == sorted_triplets(r, columns), (cx, r)
             assert [sorted(row) for row in bm.entries] == [list(row) for row in bm.entries]
             checked += 1
     assert checked >= 200

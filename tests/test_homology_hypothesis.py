@@ -15,13 +15,16 @@ from tscomplex import (  # noqa: E402
     TotalLabeling,
     boundary_matrix,
     build_tsc,
-    euler_characteristic,
     homology_summary,
     is_cm,
     matrix_rank,
     tsc_cm_shortcut,
 )
-from oracles import brute_force_reduced_betti, dense_boundary_rank  # noqa: E402
+from oracles import (  # noqa: E402
+    brute_force_reduced_betti,
+    dense_boundary_rank,
+    euler_characteristic,
+)
 
 FIELDS = (Rationals(), PrimeField(2), PrimeField(3), PrimeField(32003))
 SETTINGS = hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)

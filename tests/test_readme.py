@@ -1,14 +1,19 @@
-"""The README's library sketch runs, each value its comments state holds,
-and the public names it and ``tscomplex.__all__`` list exist."""
+"""The README's library sketch and CLI block run, each value and exit code
+their comments state holds, and the public names the README and
+``tscomplex.__all__`` list exist."""
 
 import ast
 import io
 import re
+import shlex
 import tokenize
 from pathlib import Path
 
+from click.testing import CliRunner
+
 import tscomplex
 from tscomplex import BoundaryMatrix, Graph, SimplicialComplex
+from tscomplex.cli import main
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -47,6 +52,27 @@ def test_library_sketch_values_hold():
     assert len(checked) == 5, checked
 
 
+def test_cli_block_runs_with_the_stated_exit_codes_and_values():
+    (block,) = re.findall(r"## CLI\n\n```sh\n(.*?)```", README.read_text(), re.S)
+    runner = CliRunner()
+    stated_values = []
+    with runner.isolated_filesystem():
+        for line in block.splitlines():
+            command, _, comment = line.partition("#")
+            program, *args = shlex.split(command)
+            assert program == "tscomplex", line
+            result = runner.invoke(main, args, catch_exceptions=False)
+            # a comment that opens with "exit <n>:" states the exit code; 0 otherwise
+            code = re.match(r"exit (\d+):", comment.strip())
+            assert result.exit_code == (int(code[1]) if code else 0), (line, result.output)
+            stated = _leading_literal(comment.strip())
+            if stated is not None:
+                assert result.output == f"{stated[0]}\n", (line, result.output)
+                stated_values.append(stated[0])
+    assert len(block.splitlines()) == 12
+    assert stated_values == [(11, 50, 76)]
+
+
 def test_every_public_name_resolves_once_in_order():
     names = tscomplex.__all__
     assert [name for name in names if not hasattr(tscomplex, name)] == []
@@ -62,8 +88,11 @@ def test_readme_complex_methods_exist():
 
 def test_removed_entry_points_stay_removed():
     # their jobs are done by faces(k), SimplicialComplex([()]), link() and
-    # BoundaryMatrix.entries; the closed form is an oracle in tests/oracles.py
-    removed = [(SimplicialComplex, "all_faces"), (SimplicialComplex, "empty"),
+    # BoundaryMatrix.entries; the closed form and the Euler characteristic
+    # are oracles in tests/oracles.py, and no command writes triplet text
+    removed = [(tscomplex, "export_triplets"), (tscomplex.homology, "export_triplets"),
+               (tscomplex, "euler_characteristic"), (tscomplex.homology, "euler_characteristic"),
+               (SimplicialComplex, "all_faces"), (SimplicialComplex, "empty"),
                (SimplicialComplex, "has_face"), (BoundaryMatrix, "columns"),
                (Graph, "degree"), (tscomplex, "friendship_facets_closed_form"),
                (tscomplex.tsc, "friendship_facets_closed_form")]
