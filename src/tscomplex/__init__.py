@@ -11,7 +11,6 @@ from .cohen_macaulay import (
     CmWitness,
     is_cm,
     is_cm_t,
-    tsc_cm_shortcut,
     vertex_links_connected,
 )
 from .complexes import (
@@ -98,6 +97,5 @@ __all__ = [
     "stanley_reisner_generators",
     "total_graph",
     "total_indices",
-    "tsc_cm_shortcut",
     "vertex_links_connected",
 ]

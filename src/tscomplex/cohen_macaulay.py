@@ -26,9 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import Face, SimplicialComplex
-from .graphs import Graph, TotalLabeling, is_connected
 from .homology import DEFAULT_FIELD, FieldSpec, homology_summary
-from .tsc import build_tsc
 
 
 @dataclass(frozen=True)
@@ -92,18 +90,6 @@ def is_cm_t(cx: SimplicialComplex, t: int, field: FieldSpec = DEFAULT_FIELD) -> 
         return CmReport(False, field, None, purity_ok=False)
     witness = _witness(cx, field, t)
     return CmReport(witness is None, field, witness, purity_ok=True)
-
-
-def tsc_cm_shortcut(g: Graph, labeling: TotalLabeling, field: FieldSpec = DEFAULT_FIELD) -> bool:
-    """For a connected graph, the TSC is Cohen-Macaulay exactly when its
-    first reduced homology vanishes; this computes just that criterion."""
-    if not is_connected(g):
-        raise ValueError(
-            "the shortcut requires a connected graph; the total complex of a "
-            "disconnected graph is disconnected and never Cohen-Macaulay or Buchsbaum"
-        )
-    reduced = homology_summary(build_tsc(g, labeling), field).reduced_betti
-    return len(reduced) < 2 or reduced[1] == 0
 
 
 def vertex_links_connected(cx: SimplicialComplex) -> bool:

@@ -14,11 +14,18 @@ the cover size, not by the interpreter's recursion limit.
 
 The minimal primes of the facet ideal correspond one-to-one to the minimal
 vertex covers, so the primary decomposition is read off the cover list.
-The same search finds the minimal non-faces (the Stanley-Reisner
-generators): a vertex set is a non-face iff it lies in no facet, that is,
-iff it meets the complement V ∖ F of every facet F, so the minimal
-non-faces are the minimal transversals of the facet complements (Miller &
-Sturmfels, "Combinatorial Commutative Algebra", 2005, ch. 1).
+
+The minimal non-faces (the Stanley-Reisner generators; Miller & Sturmfels,
+"Combinatorial Commutative Algebra", 2005, ch. 1) are read off the face
+links.  One pass over the subsets of each facet records, for every face σ,
+the vertex mask of its link lk σ.  A set S = σ ∪ {x} with x above σ's
+largest vertex is a minimal non-face exactly when x lies outside lk σ (S is
+no face) and inside lk(σ ∖ y) for every y in σ (every S ∖ y is a face; S ∖
+x = σ is one).  Every minimal non-face S arises so, from the face
+σ = S ∖ max S, and from no other, so each is found once.  The pass costs
+Σ_F 2^|F| over the facets F, the subsets that ``f_vector`` lists too:
+cheap for TSCs, whose facets have at most 3 vertices, and bounded by
+``complexes.MAX_FACET_SIZE`` for complex input.
 """
 
 from __future__ import annotations
@@ -27,13 +34,19 @@ from dataclasses import dataclass
 
 from .complexes import Face, SimplicialComplex, vertex_masks
 
-#: The most minimal transversals one search returns.  A search that finds
-#: more is refused with a ``ValueError`` as soon as it does, so neither
-#: minimal covers nor Stanley-Reisner generators can exhaust memory (the TSC
-#: of a path on m vertices has about 4.5 times more covers per two more
-#: vertices).  The friendship TSC at n = 8, with 210,714 minimal covers,
-#: stays below it.
+#: The most minimal covers, or minimal non-faces, one call returns.  A call
+#: that finds more is refused with a ``ValueError`` as soon as it does: the
+#: cover search at its leaves, the face-link rule as it reads the
+#: generators, so neither can exhaust memory (the TSC of a path on m
+#: vertices has about 4.5 times more covers per two more vertices).  The
+#: friendship TSC at n = 8, with 210,714 minimal covers, stays below it.
 MAX_TRANSVERSALS = 250_000
+
+
+def _too_many() -> ValueError:
+    """The refusal of a call that found more than :data:`MAX_TRANSVERSALS`."""
+    return ValueError(f"more than {MAX_TRANSVERSALS} minimal transversals "
+                      "(covers or non-faces); refusing to list them all")
 
 
 @dataclass(frozen=True)
@@ -83,8 +96,7 @@ def _minimal_transversals(vertices: tuple[int, ...], members: list[int],
     :data:`MAX_TRANSVERSALS` of them is a ``ValueError``.
 
     A stack entry is (chosen vertices, their critical-facet masks,
-    uncovered facets, candidate vertices).  A vertex in no member is a
-    candidate that no branch picks.
+    uncovered facets, candidate vertices).
     """
     found = []
     stack = [((), (), (1 << len(members)) - 1, (1 << len(vertices)) - 1)]
@@ -93,8 +105,7 @@ def _minimal_transversals(vertices: tuple[int, ...], members: list[int],
         if not uncov:
             found.append(tuple(vertices[i] for i in sorted(chosen)))
             if len(found) > MAX_TRANSVERSALS:
-                raise ValueError(f"more than {MAX_TRANSVERSALS} minimal transversals "
-                                 "(covers or non-faces); refusing to list them all")
+                raise _too_many()
             continue
         # branch on the uncovered facet with the fewest candidates
         branch, fewest, rest = 0, len(vertices) + 1, uncov
@@ -140,18 +151,46 @@ def facet_ideal_decomposition(cx: SimplicialComplex,
 
 def stanley_reisner_generators(cx: SimplicialComplex) -> list[Face]:
     """All inclusion-minimal non-faces over the complex's vertex set, in
-    canonical order: the minimal transversals of the facet complements.
+    canonical order, by the face-link rule of the module docstring; more
+    than :data:`MAX_TRANSVERSALS` of them is a ``ValueError``.
 
-    The complements are the incidence masks flipped: V ∖ F as
-    ``full_v ^ members[j]``, and the complements containing a vertex as
-    ``full_f ^ hits[i]``.  A facet holding every vertex has an empty
-    complement, which nothing meets, so such a complex (a simplex, or {∅})
-    has no minimal non-face.
+    Faces and links are vertex masks (bit i for ``cx.vertices[i]``).  The
+    link of ∅ is every vertex, so the rule finds no generator at ∅, and
+    the removal of the only vertex of a singleton σ checks that link.  A
+    simplex, or {∅}, has no minimal non-face.
     """
-    vertices, members, hits = _incidence(cx.facets)
-    full_v, full_f = (1 << len(vertices)) - 1, (1 << len(members)) - 1
-    return sorted(_minimal_transversals(vertices, [full_v ^ m for m in members],
-                                        [full_f ^ h for h in hits]))
+    vertices = cx.vertices
+    index = {v: i for i, v in enumerate(vertices)}
+    full = (1 << len(vertices)) - 1
+    links = {0: full}
+    for facet in cx.facets:
+        members = sum(1 << index[v] for v in facet)
+        face = members
+        while face:  # every non-empty subset of the facet, by submask descent
+            links[face] = links.get(face, 0) | (members ^ face)
+            face = (face - 1) & members
+    found = []
+    for face, link in links.items():
+        # x above the face's largest vertex and outside its link
+        tops = full & ~link & ~((1 << face.bit_length()) - 1)
+        rest = face
+        while tops and rest:
+            low = rest & -rest
+            rest ^= low
+            tops &= links[face ^ low]
+        if tops:
+            base, rest = (), face
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                base += (vertices[low.bit_length() - 1],)
+            while tops:
+                low = tops & -tops
+                tops ^= low
+                found.append(base + (vertices[low.bit_length() - 1],))
+            if len(found) > MAX_TRANSVERSALS:
+                raise _too_many()
+    return sorted(found)
 
 
 def friendship_cover_count(n: int) -> int:

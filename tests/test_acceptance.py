@@ -42,7 +42,6 @@ from tscomplex import (
     is_connected,
     matrix_rank,
     minimal_vertex_covers,
-    tsc_cm_shortcut,
     vertex_links_connected,
 )
 from conftest import all_labeled_graphs, tsc_of
@@ -147,8 +146,9 @@ def test_criterion_4_cm_verdicts(tsc_friendship):
         if not report.verdict:
             errors.append(f"n={n}: full link-criterion verdict false, witness {report.witness}")
     for n in (1, 2, 3):
-        if not tsc_cm_shortcut(*gen_friendship(n)):
-            errors.append(f"n={n}: first-homology shortcut disagrees")
+        cx = tsc_friendship[n]
+        if not (is_cm(cx).verdict and homology_summary(cx).reduced_betti[1] == 0):
+            errors.append(f"n={n}: the first-homology criterion disagrees with the verdict")
     _report(4, "friendship family is Cohen-Macaulay", errors)
 
 

@@ -8,7 +8,6 @@ from tscomplex import (
     Rationals,
     SimplicialComplex,
     build_tsc,
-    default_labeling,
     gen_c42,
     gen_friendship,
     homology_summary,
@@ -16,7 +15,6 @@ from tscomplex import (
     is_cm_t,
     is_connected,
     minimal_vertex_covers,
-    tsc_cm_shortcut,
     vertex_links_connected,
 )
 from conftest import all_labeled_graphs, random_complexes, tsc_of
@@ -138,28 +136,29 @@ def test_reports_match_brute_force_reisner_on_random_complexes():
             assert is_cm_t(cx, t, q) == expected, (cx, t)
 
 
-def test_tsc_cm_shortcut_friendship():
+def _first_homology_vanishes(cx):
+    """H̃1(cx) = 0, the paper's shortcut: the TSC of a connected graph is
+    Cohen-Macaulay exactly then.  A complex of dimension below 1 has no H̃1."""
+    return not any(homology_summary(cx).reduced_betti[1:2])
+
+
+def test_tsc_cm_shortcut_friendship(tsc_friendship):
     for n in (1, 2, 3):
-        assert tsc_cm_shortcut(*gen_friendship(n))
+        cx = tsc_friendship[n]
+        assert is_cm(cx).verdict and homology_summary(cx).reduced_betti[1] == 0, n
 
 
 def test_tsc_cm_shortcut_k2():
-    g = Graph(2, [(1, 2)])
-    assert tsc_cm_shortcut(g, default_labeling(g))
+    cx = tsc_of(Graph(2, [(1, 2)]))
+    assert is_cm(cx).verdict and homology_summary(cx).reduced_betti[1] == 0
 
 
 def test_tsc_cm_shortcut_c42():
     # The first reduced homology of the constructed complex vanishes (it is
-    # (0, 0, 29) over every field), so the shortcut reports Cohen-Macaulay.
-    g, lab = gen_c42()
-    assert homology_summary(build_tsc(g, lab)).reduced_betti == (0, 0, 29)
-    assert tsc_cm_shortcut(g, lab)
-
-
-def test_tsc_cm_shortcut_rejects_disconnected():
-    g = Graph(4, [(1, 2), (3, 4)])
-    with pytest.raises(ValueError):
-        tsc_cm_shortcut(g, default_labeling(g))
+    # (0, 0, 29) over every field), and the complex is Cohen-Macaulay.
+    cx = build_tsc(*gen_c42())
+    assert homology_summary(cx).reduced_betti == (0, 0, 29)
+    assert is_cm(cx).verdict
 
 
 def test_vertex_links_connected(corpus):
@@ -171,8 +170,8 @@ def test_vertex_links_connected(corpus):
 def test_shortcut_equals_reisner_on_small_connected_graphs():
     for g in all_labeled_graphs(4):
         if is_connected(g):
-            lab = default_labeling(g)
-            assert tsc_cm_shortcut(g, lab) == is_cm(tsc_of(g)).verdict, (g.m, g.edges)
+            cx = tsc_of(g)
+            assert _first_homology_vanishes(cx) == is_cm(cx).verdict, (g.m, g.edges)
 
 
 def test_buchsbaum_on_small_connected_graphs():

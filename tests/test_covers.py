@@ -17,7 +17,7 @@ from tscomplex import (
     minimal_vertex_covers,
     stanley_reisner_generators,
 )
-from tscomplex.covers import decomposition_text
+from tscomplex.covers import _incidence, _minimal_transversals, decomposition_text
 from conftest import all_labeled_graphs, random_complexes, tsc_of
 from oracles import brute_force_minimal_covers, brute_force_minimal_nonfaces
 
@@ -214,15 +214,47 @@ def test_stanley_reisner_generators_of_disjoint_points():
     assert stanley_reisner_generators(cx) == [(1, 2)]
 
 
-def test_stanley_reisner_generators_match_brute_force(tsc_friendship, c42_built, c42_fix):
+@pytest.fixture(scope="module")
+def sr_corpus(tsc_friendship, c42_built, c42_fix):
     complexes = [*random_complexes(300, seed=5), *(tsc_of(g) for g in all_labeled_graphs(5))]
     complexes += [tsc_friendship[n] for n in (1, 2, 3)]
     complexes += [build_tsc(*gen_friendship(n)) for n in (4, 5, 6)]
     complexes += [c42_built, c42_fix, SimplicialComplex([()]),
                   SimplicialComplex.from_facets([(1, 2, 3, 4, 5)]),
                   SimplicialComplex.from_facets([(9, 1, 2), (9, 2, 3), (9, 3, 4), (9, 5)])]
-    for cx in complexes:
+    return complexes
+
+
+def test_stanley_reisner_generators_match_brute_force(sr_corpus):
+    for cx in sr_corpus:
         assert stanley_reisner_generators(cx) == brute_force_minimal_nonfaces(cx), cx.facets
+
+
+def _transversals_of_complements(cx):
+    """The minimal non-faces as MMCS finds them: the minimal transversals of
+    the facet complements V ∖ F, whose masks are the incidence masks
+    flipped.  A facet holding every vertex has an empty complement, which
+    nothing meets, so a simplex has none."""
+    vertices, members, hits = _incidence(cx.facets)
+    full_v, full_f = (1 << len(vertices)) - 1, (1 << len(members)) - 1
+    return sorted(_minimal_transversals(vertices, [full_v ^ m for m in members],
+                                        [full_f ^ h for h in hits]))
+
+
+def test_stanley_reisner_generators_match_transversals_of_complements(sr_corpus):
+    # the brute-force scan cannot reach these: facets of 5..16 vertices
+    rng = random.Random(1976)
+    simplex = SimplicialComplex.from_facets([range(1, 17)])
+    large = [simplex]
+    large += [SimplicialComplex.from_facets([rng.sample(range(1, 1 + n), k) for _ in range(count)])
+              for count, k, n in ((8, 16, 24), (40, 10, 30), (200, 5, 40))]
+    assert stanley_reisner_generators(simplex) == []
+    for cx in [*sr_corpus, *large]:
+        start = time.perf_counter()
+        assert stanley_reisner_generators(cx) == _transversals_of_complements(cx), cx.facets
+        if cx is large[1]:
+            assert time.perf_counter() - start < 5.0
+    assert max(map(len, large[1].facets)) == 16
 
 
 def test_friendship_cover_count_values():
