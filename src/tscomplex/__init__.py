@@ -51,10 +51,8 @@ from .homology import (
     parse_field,
 )
 from .tsc import (
-    TotalIndexSet,
     build_tsc,
     c42_fixture,
-    total_indices,
 )
 
 __version__ = "0.1.0"
@@ -73,7 +71,6 @@ __all__ = [
     "PrimeField",
     "Rationals",
     "SimplicialComplex",
-    "TotalIndexSet",
     "TotalLabeling",
     "boundary_matrix",
     "build_tsc",
@@ -96,6 +93,5 @@ __all__ = [
     "parse_field",
     "stanley_reisner_generators",
     "total_graph",
-    "total_indices",
     "vertex_links_connected",
 ]

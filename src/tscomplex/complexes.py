@@ -15,10 +15,13 @@ isolated vertices, and no triple contains an isolated vertex's label) and
 :meth:`SimplicialComplex.link` (see there).
 
 Both the antichain test and ``link`` read one index: for each vertex, the
-bitmask of the generators containing it.  A generator is dominated exactly
-when the AND of its vertices' masks has a bit besides its own, and the
-facets through a face are the AND of its vertices' masks, so neither compares
-generators pairwise.
+set of positions of the generators containing it.  The generators through a
+non-empty face are the intersection of its vertices' sets, and each ``&``
+walks the smaller of its two sets; ∅ lies in every generator.  A generator
+is dominated exactly when another position contains it too, which one of
+the largest size never is, so neither compares generators pairwise.  The
+index holds one entry per vertex of each generator, so its memory is linear
+in the total size of the generator list.
 
 Complexes are immutable.  Faces are listed one dimension at a time, on
 demand, and each dimension's list is cached per instance, as is the index:
@@ -35,7 +38,10 @@ non-empty faces.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
+from functools import reduce
 from itertools import combinations, filterfalse
+from operator import and_
 
 Face = tuple[int, ...]
 
@@ -54,48 +60,47 @@ def _as_face(vertices) -> Face:
     return face
 
 
-def vertex_masks(faces) -> dict[int, int]:
-    """For each vertex, the bitmask of the positions in ``faces`` of the
-    faces that contain it."""
-    masks: dict[int, int] = {}
+def _positions(faces) -> dict[int, set[int]]:
+    """For each vertex, the set of positions in ``faces`` of the faces that
+    contain it."""
+    index = defaultdict(set)
     for j, face in enumerate(faces):
-        bit = 1 << j
         for v in face:
-            masks[v] = masks.get(v, 0) | bit
-    return masks
+            index[v].add(j)
+    return index
 
 
-def _meet(masks: dict[int, int], face: Face) -> int:
-    """The AND of the masks of ``face``'s vertices: -1 (every bit) for ∅,
-    0 if a vertex has no mask."""
-    common = -1
-    for v in face:
-        common &= masks.get(v, 0)
-    return common
+_NONE: frozenset[int] = frozenset()
+
+
+def _through(index: dict[int, set[int]], face: Face) -> set[int] | frozenset[int]:
+    """The positions of the faces through the non-empty ``face``: empty if a
+    vertex is in none."""
+    return reduce(and_, [index.get(v, _NONE) for v in face])
 
 
 def _antichain(faces: set[Face]) -> tuple[Face, ...]:
     """Keep only the inclusion-maximal members, in canonical order.
 
-    The members are distinct, so one is dominated iff another member
-    contains all its vertices, i.e. its meet has a bit besides its own.
+    The members are distinct, so one of the largest size is kept, and any
+    other iff it is the only member through it; ∅ lies in every member.
     """
     ordered = sorted(faces)
-    masks = vertex_masks(ordered)
-    everything = (1 << len(ordered)) - 1
-    return tuple(face for j, face in enumerate(ordered)
-                 if (_meet(masks, face) & everything) == 1 << j)
+    top = max(map(len, ordered))
+    index = _positions(ordered)
+    return tuple(face for face in ordered
+                 if len(face) == top or (face and len(_through(index, face)) == 1))
 
 
 class SimplicialComplex:
     """An abstract simplicial complex given by its facet antichain."""
 
-    __slots__ = ("_facets", "_vertices", "_dim", "_faces_by_dim", "_masks")
+    __slots__ = ("_facets", "_vertices", "_dim", "_faces_by_dim", "_index")
 
     def __init__(self, facets):
         """Validating constructor: ``facets`` may be any generating family of
         (possibly empty) faces; each is checked for repeated vertices and
-        the dominated ones are dropped by the mask test of ``_antichain``.
+        the dominated ones are dropped by the position test of ``_antichain``.
         Use :meth:`from_facets` to also refuse the empty face.
         """
         gens = {_as_face(f) for f in facets}
@@ -120,7 +125,7 @@ class SimplicialComplex:
         self._vertices = tuple(sorted({v for f in facets for v in f}))
         self._dim = max(map(len, facets)) - 1
         self._faces_by_dim = {}
-        self._masks = None
+        self._index = None
 
     @classmethod
     def from_facets(cls, sets) -> "SimplicialComplex":
@@ -170,13 +175,6 @@ class SimplicialComplex:
             self._faces_by_dim[k] = faces
         return faces
 
-    def _facets_through(self, face: Face) -> int:
-        """The bitmask of the facets (by position) that contain ``face``;
-        -1 for ∅, which every facet contains."""
-        if self._masks is None:
-            self._masks = vertex_masks(self._facets)
-        return _meet(self._masks, face)
-
     def f_vector(self) -> tuple[int, ...]:
         """(alpha_0, ..., alpha_dim): face counts per dimension."""
         return tuple(len(self.faces(k)) for k in range(self._dim + 1))
@@ -210,24 +208,22 @@ class SimplicialComplex:
         it is again a face.  The link at ∅ is the complex itself; the link at
         a facet is the dimension -1 complex {∅}.
 
-        Its facets are F ∖ σ for the facets F through σ, read off the mask
-        index, and they go through the trusted constructor: if F ∖ σ ⊆ F' ∖ σ
-        and σ lies in both F and F', then F ⊆ F', so distinct facets give an
-        antichain.
+        Its facets are F ∖ σ for the facets F through σ, read off the
+        position index, and they go through the trusted constructor: if
+        F ∖ σ ⊆ F' ∖ σ and σ lies in both F and F', then F ⊆ F', so distinct
+        facets give an antichain.
         """
         face = _as_face(face)
-        through = self._facets_through(face)
-        if not through:
-            raise ValueError(f"{face} is not a face of the complex")
         if face == ():
             return self
+        if self._index is None:
+            self._index = _positions(self._facets)
+        through = _through(self._index, face)
+        if not through:
+            raise ValueError(f"{face} is not a face of the complex")
         inside = set(face).__contains__
-        gens = []
-        while through:
-            low = through & -through
-            through ^= low
-            gens.append(tuple(filterfalse(inside, self._facets[low.bit_length() - 1])))
-        return SimplicialComplex._trusted(gens)
+        return SimplicialComplex._trusted(
+            [tuple(filterfalse(inside, self._facets[j])) for j in through])
 
     # -- misc ----------------------------------------------------------------
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import Face, SimplicialComplex, vertex_masks
+from .complexes import Face, SimplicialComplex
 
 #: The most minimal covers, or minimal non-faces, one call returns.  A call
 #: that finds more is refused with a ``ValueError`` as soon as it does: the
@@ -81,12 +81,16 @@ def _incidence(facets: tuple[Face, ...]) -> tuple[tuple[int, ...], list[int], li
     """(vertices, members, hits) of ``facets``: the sorted vertices, for
     each facet j the mask ``members[j]`` of its vertices (bit i for
     ``vertices[i]``), and for each vertex i the mask ``hits[i]`` of the
-    facets containing it."""
-    masks = vertex_masks(facets)
-    vertices = tuple(sorted(masks))
+    facets containing it.  These bitmasks are MMCS's own; the search is
+    their only reader."""
+    vertices = tuple(sorted({v for f in facets for v in f}))
     index = {v: i for i, v in enumerate(vertices)}
     members = [sum(1 << index[v] for v in f) for f in facets]
-    return vertices, members, [masks[v] for v in vertices]
+    hits = [0] * len(vertices)
+    for j, f in enumerate(facets):
+        for v in f:
+            hits[index[v]] |= 1 << j
+    return vertices, members, hits
 
 
 def _minimal_transversals(vertices: tuple[int, ...], members: list[int],

@@ -67,10 +67,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def isolated_vertices(self) -> tuple[int, ...]:
-        touched = {v for e in self.edges for v in e}
-        return tuple(v for v in range(1, self.m + 1) if v not in touched)
-
 
 @dataclass(frozen=True)
 class TotalLabeling:

@@ -9,28 +9,16 @@ the complex generated by all total indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 from itertools import combinations
 
-from .complexes import Face, SimplicialComplex, complex_loads
+from .complexes import SimplicialComplex, complex_loads
 from .graphs import Graph, TotalLabeling, total_graph
 
 
-@dataclass(frozen=True)
-class TotalIndexSet:
-    """Total indices of a labeled graph: connected label triples plus one
-    singleton per isolated vertex."""
-
-    triples: frozenset[Face]
-    singletons: frozenset[Face]
-
-    def all(self) -> frozenset[Face]:
-        return self.triples | self.singletons
-
-
-def total_indices(g: Graph, labeling: TotalLabeling) -> TotalIndexSet:
-    """Enumerate the total indices of ``g`` under ``labeling``.
+def build_tsc(g: Graph, labeling: TotalLabeling) -> SimplicialComplex:
+    """The total simplicial complex of ``g`` under ``labeling``, generated by
+    the total indices, which are already its facets.
 
     Two pairs of a triple share one label, which is then adjacent to the
     other two; so the triples are exactly {a} ∪ {b, c} for two total-graph
@@ -46,16 +34,11 @@ def total_indices(g: Graph, labeling: TotalLabeling) -> TotalIndexSet:
         neighbours.setdefault(a, []).append(b)
         neighbours.setdefault(b, []).append(a)
     # t.edges is sorted, so each neighbour list is ascending and b < c
-    triples = {(a, b, c) if a < b else (b, a, c) if a < c else (b, c, a)
+    indices = {(a, b, c) if a < b else (b, a, c) if a < c else (b, c, a)
                for a, near in neighbours.items() for b, c in combinations(near, 2)}
-    singletons = frozenset((labeling.vertex_label(v),) for v in g.isolated_vertices())
-    return TotalIndexSet(triples=frozenset(triples), singletons=singletons)
-
-
-def build_tsc(g: Graph, labeling: TotalLabeling) -> SimplicialComplex:
-    """The total simplicial complex generated by the total indices, which
-    are already its facets (see :func:`total_indices`)."""
-    return SimplicialComplex._trusted(total_indices(g, labeling).all())
+    touched = {v for e in g.edges for v in e}
+    indices.update((labeling.vertex_label(v),) for v in range(1, g.m + 1) if v not in touched)
+    return SimplicialComplex._trusted(indices)
 
 
 def c42_fixture() -> SimplicialComplex:

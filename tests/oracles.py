@@ -9,7 +9,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from tscomplex import Face, Graph, SimplicialComplex, TotalIndexSet
+from tscomplex import Face, Graph, SimplicialComplex
 
 
 def faces_by_dim(cx: SimplicialComplex) -> dict[int, list[Face]]:
@@ -228,16 +228,15 @@ def brute_force_total_graph(g, labeling) -> Graph:
     return Graph(n, [(a, b) for a, b in combinations(range(1, n + 1), 2) if adjacent(a, b)])
 
 
-def brute_force_total_indices(g, labeling) -> TotalIndexSet:
+def brute_force_total_indices(g, labeling) -> set[Face]:
     """Test all C(N, 3) label triples for two adjacent pairs in the total
-    graph; isolated vertices give singletons."""
+    graph; a vertex on no edge gives a singleton."""
     t = brute_force_total_graph(g, labeling)
     adjacent = set(t.edges)
-    triples = frozenset(
-        (a, b, c) for a, b, c in combinations(range(1, t.m + 1), 3)
-        if ((a, b) in adjacent) + ((a, c) in adjacent) + ((b, c) in adjacent) >= 2)
-    singletons = frozenset((labeling.vertex_label(v),) for v in g.isolated_vertices())
-    return TotalIndexSet(triples=triples, singletons=singletons)
+    indices = {(a, b, c) for a, b, c in combinations(range(1, t.m + 1), 3)
+               if ((a, b) in adjacent) + ((a, c) in adjacent) + ((b, c) in adjacent) >= 2}
+    on_edges = set(chain.from_iterable(g.edges))
+    return indices | {(labeling.vertex_label(v),) for v in range(1, g.m + 1) if v not in on_edges}
 
 
 def brute_force_minimal_nonfaces(cx: SimplicialComplex) -> list[tuple[int, ...]]:

@@ -1,9 +1,10 @@
 import random
+import tracemalloc
 
 import pytest
 
 import tscomplex.complexes
-from tscomplex import SimplicialComplex, complex_dumps, complex_loads
+from tscomplex import Graph, SimplicialComplex, complex_dumps, complex_loads
 from tscomplex.complexes import MAX_FACET_SIZE
 from conftest import all_labeled_graphs, random_complexes, tsc_of
 from oracles import brute_force_antichain, brute_force_faces, faces_by_dim, facet_component_count
@@ -146,8 +147,11 @@ def test_link_rejects_non_face(corpus):
 
 
 def test_link_faces_recombine_into_faces(corpus):
-    for name in ("tsc_p3", "c42_fixture", "hollow_triangle", "two_triangles_shared_vertex"):
-        cx = corpus[name]
+    named = [corpus[name] for name in ("tsc_p3", "c42_fixture", "hollow_triangle",
+                                       "two_triangles_shared_vertex")]
+    # the cone over the c42 fixture, whose apex 12 lies in every facet
+    cone = SimplicialComplex.from_facets(f + (12,) for f in corpus["c42_fixture"].facets)
+    for i, cx in enumerate([*named, cone, *random_complexes(200, seed=17)]):
         faces = [face for group in faces_by_dim(cx).values() for face in group]
         face_set = set(faces)
         for sigma in faces:
@@ -157,7 +161,27 @@ def test_link_faces_recombine_into_faces(corpus):
                 union = tuple(sorted(set(tau) | set(sigma)))
                 # tau lies in the link iff it is disjoint from sigma and recombines with it
                 recombines = not set(tau) & set(sigma) and union in face_set
-                assert (tau in in_link) == recombines, (name, sigma, tau)
+                assert (tau in in_link) == recombines, (i, sigma, tau)
+
+
+def _peak_bytes(build):
+    """The tracemalloc peak of ``build()``, in bytes."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_facet_index_memory_is_linear():
+    # the path on m vertices has 8m - 16 facets on 2m - 1 labels; an index
+    # of size vertices x facets would grow about 4x when m doubles
+    small, large = (tsc_of(Graph(m, [(i, i + 1) for i in range(1, m)])) for m in (2_500, 5_000))
+    first_link = [_peak_bytes(lambda: cx.link(cx.vertices[:1])) for cx in (small, large)]
+    validated = [_peak_bytes(lambda: SimplicialComplex(cx.facets)) for cx in (small, large)]
+    assert first_link[1] <= 2.5 * first_link[0], first_link
+    assert validated[1] <= 2.5 * validated[0], validated
 
 
 def test_all_faces_against_brute_force(corpus):

@@ -90,12 +90,16 @@ def test_removed_entry_points_stay_removed():
     # their jobs are done by faces(k), SimplicialComplex([()]), link() and
     # BoundaryMatrix.entries; the closed form and the Euler characteristic
     # are oracles in tests/oracles.py, no command writes triplet text, and
-    # the tests assert the TSC's first-homology criterion directly
+    # the tests assert the TSC's first-homology criterion directly;
+    # build_tsc(g, lab).facets are the total indices
     removed = [(tscomplex, "export_triplets"), (tscomplex.homology, "export_triplets"),
                (tscomplex, "euler_characteristic"), (tscomplex.homology, "euler_characteristic"),
                (SimplicialComplex, "all_faces"), (SimplicialComplex, "empty"),
                (SimplicialComplex, "has_face"), (BoundaryMatrix, "columns"),
                (Graph, "degree"), (tscomplex, "friendship_facets_closed_form"),
                (tscomplex.tsc, "friendship_facets_closed_form"),
-               (tscomplex, "tsc_cm_shortcut"), (tscomplex.cohen_macaulay, "tsc_cm_shortcut")]
+               (tscomplex, "tsc_cm_shortcut"), (tscomplex.cohen_macaulay, "tsc_cm_shortcut"),
+               (tscomplex, "total_indices"), (tscomplex.tsc, "total_indices"),
+               (tscomplex, "TotalIndexSet"), (tscomplex.tsc, "TotalIndexSet"),
+               (Graph, "isolated_vertices")]
     assert [(owner.__name__, name) for owner, name in removed if hasattr(owner, name)] == []

@@ -14,7 +14,6 @@ from tscomplex import (
     gen_friendship,
     is_connected,
     total_graph,
-    total_indices,
 )
 from conftest import all_labeled_graphs, tsc_of
 from oracles import brute_force_total_indices, friendship_facets_closed_form
@@ -22,32 +21,23 @@ from oracles import brute_force_total_indices, friendship_facets_closed_form
 
 def test_total_indices_k2():
     g = Graph(2, [(1, 2)])
-    idx = total_indices(g, default_labeling(g))
-    assert idx.triples == {(1, 2, 3)}
-    assert idx.singletons == frozenset()
+    assert build_tsc(g, default_labeling(g)).facets == ((1, 2, 3),)
 
 
 def test_total_indices_isolated_vertex():
     g = Graph(1, [])
-    idx = total_indices(g, default_labeling(g))
-    assert idx.triples == frozenset()
-    assert idx.singletons == {(1,)}
+    assert build_tsc(g, default_labeling(g)).facets == ((1,),)
 
 
 def test_total_indices_p3():
     g = Graph(3, [(1, 2), (2, 3)])
-    idx = total_indices(g, default_labeling(g))
-    assert idx.triples == {
+    facets = build_tsc(g, default_labeling(g)).facets
+    assert facets == (
         (1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 4, 5),
         (2, 3, 4), (2, 3, 5), (2, 4, 5), (3, 4, 5),
-    }
+    )
     # the two disconnected triples are exactly the ones left out
-    assert (1, 3, 5) not in idx.triples and (1, 3, 4) not in idx.triples
-
-
-def test_build_tsc_k2_is_one_simplex():
-    g = Graph(2, [(1, 2)])
-    assert build_tsc(g, default_labeling(g)).facets == ((1, 2, 3),)
+    assert (1, 3, 5) not in facets and (1, 3, 4) not in facets
 
 
 def test_build_tsc_f1_is_full_2_skeleton(tsc_friendship):
@@ -101,8 +91,8 @@ def test_build_tsc_equals_validated_construction():
         rng.shuffle(labels)
         shuffled = TotalLabeling(tuple(labels[:g.m]), tuple(labels[g.m:]))
         for lab in (default_labeling(g), shuffled):
-            expected = SimplicialComplex.from_facets(total_indices(g, lab).all()).facets
-            assert build_tsc(g, lab).facets == expected, (g.m, g.edges, lab)
+            facets = build_tsc(g, lab).facets
+            assert SimplicialComplex.from_facets(facets).facets == facets, (g.m, g.edges, lab)
 
 
 def test_total_indices_match_triple_scan():
@@ -114,7 +104,7 @@ def test_total_indices_match_triple_scan():
         cases += [(g, default_labeling(g)),
                   (g, TotalLabeling(tuple(labels[:g.m]), tuple(labels[g.m:])))]
     for g, lab in cases:
-        assert total_indices(g, lab) == brute_force_total_indices(g, lab), (g.m, g.edges, lab)
+        assert set(build_tsc(g, lab).facets) == brute_force_total_indices(g, lab), (g.m, g.edges, lab)
 
 
 def test_build_tsc_scales_to_path_400():
