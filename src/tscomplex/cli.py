@@ -21,9 +21,7 @@ from .cohen_macaulay import is_cm, is_cm_t
 from .complexes import SimplicialComplex, canonical_json, complex_dumps, complex_loads
 from .covers import (
     _friendship_cover_formula,
-    decomposition_text,
     decomposition_to_json_dict,
-    facet_ideal_decomposition,
     friendship_cover_count,
     minimal_vertex_covers,
 )
@@ -69,7 +67,7 @@ def _load_complex(path: str) -> SimplicialComplex:
 def _render(payload: dict, text: str, fmt: str) -> str:
     if fmt == "json":
         return canonical_json(payload)
-    return text if text.endswith("\n") else text + "\n"
+    return text + "\n"
 
 
 @click.group()
@@ -217,9 +215,8 @@ def decompose(complex_file, fmt, out):
     """Primary decomposition of the facet ideal (one prime per cover)."""
     cx = _load_complex(complex_file)
     report = minimal_vertex_covers(cx)
-    components = facet_ideal_decomposition(cx, report)
-    _emit(_render(decomposition_to_json_dict(cx, report), decomposition_text(components), fmt),
-          out)
+    text = " ∩ ".join("(" + ", ".join(f"x{v}" for v in c) + ")" for c in report.covers)
+    _emit(_render(decomposition_to_json_dict(cx, report), text, fmt), out)
 
 
 # --- friendship-family verification -------------------------------------------

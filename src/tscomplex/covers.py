@@ -31,6 +31,7 @@ cheap for TSCs, whose facets have at most 3 vertices, and bounded by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .complexes import Face, SimplicialComplex
 
@@ -72,9 +73,6 @@ class PrimeComponent:
     minimal vertex cover."""
 
     variables: tuple[int, ...]
-
-    def __str__(self):
-        return "(" + ", ".join(f"x{v}" for v in self.variables) + ")"
 
 
 def _incidence(facets: tuple[Face, ...]) -> tuple[tuple[int, ...], list[int], list[int]]:
@@ -145,12 +143,10 @@ def minimal_vertex_covers(cx: SimplicialComplex) -> CoverReport:
     )
 
 
-def facet_ideal_decomposition(cx: SimplicialComplex,
-                              report: CoverReport | None = None) -> list[PrimeComponent]:
+def facet_ideal_decomposition(cx: SimplicialComplex) -> list[PrimeComponent]:
     """The minimal primes of the facet ideal, one per minimal vertex cover,
-    in canonical order; ``report`` is the cover report of ``cx`` if known."""
-    report = report or minimal_vertex_covers(cx)
-    return [PrimeComponent(variables=c) for c in report.covers]
+    in canonical order."""
+    return [PrimeComponent(variables=c) for c in minimal_vertex_covers(cx).covers]
 
 
 def stanley_reisner_generators(cx: SimplicialComplex) -> list[Face]:
@@ -162,8 +158,14 @@ def stanley_reisner_generators(cx: SimplicialComplex) -> list[Face]:
     link of ∅ is every vertex, so the rule finds no generator at ∅, and
     the removal of the only vertex of a singleton σ checks that link.  A
     simplex, or {∅}, has no minimal non-face.
+
+    Two vertices that span no edge form a minimal non-face, and at most
+    Σ_F C(|F|, 2) pairs span one, so a complex whose vertex pairs outnumber
+    that by more than :data:`MAX_TRANSVERSALS` is refused before the pass.
     """
     vertices = cx.vertices
+    if comb(len(vertices), 2) - sum(comb(len(f), 2) for f in cx.facets) > MAX_TRANSVERSALS:
+        raise _too_many()
     index = {v: i for i, v in enumerate(vertices)}
     full = (1 << len(vertices)) - 1
     links = {0: full}
@@ -224,14 +226,8 @@ def _friendship_cover_formula(n: int) -> int:
 
 
 def decomposition_to_json_dict(cx: SimplicialComplex, report: CoverReport | None = None) -> dict:
-    report = report or minimal_vertex_covers(cx)
-    return {
-        "components": [list(c) for c in report.covers],
-        "unmixed": report.unmixed,
-        "cardinalities": list(report.cardinalities),
-    }
-
-
-def decomposition_text(components: list[PrimeComponent]) -> str:
-    """Render an intersection-of-primes presentation."""
-    return " ∩ ".join(str(c) for c in components)
+    """The cover report of ``cx`` (``report`` if given) as the JSON of the
+    primary decomposition: its covers are the components."""
+    payload = (report or minimal_vertex_covers(cx)).to_json_dict()
+    payload["components"] = payload.pop("covers")
+    return payload

@@ -143,6 +143,18 @@ def test_oversized_graph_is_refused_before_allocating(runner, tmp_path):
     assert "Traceback" not in result.output
 
 
+def test_tsc_with_too_many_facets_is_refused_before_building(runner, tmp_path):
+    # K_100 has 5,050 labels, under MAX_VERTICES, but tens of millions of total indices
+    path = tmp_path / "k100.json"
+    path.write_text(json.dumps({"m": 100, "edges": list(combinations(range(1, 101), 2))}))
+    start = time.perf_counter()
+    result = invoke(runner, "tsc", str(path))
+    assert time.perf_counter() - start < 1.0
+    _assert_refused(result)
+    assert _error_lines(result) == ["Error: a TSC may have at most 1000000 facets, and the "
+                                    "degrees of this graph allow up to 98490150"]
+
+
 def test_oversized_facet_is_refused_before_listing_faces(runner, tmp_path):
     # one facet on 60 vertices has 2^60 faces; the cap refuses it first
     path = tmp_path / "simplex.json"

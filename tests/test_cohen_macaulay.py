@@ -180,6 +180,18 @@ def test_buchsbaum_on_small_connected_graphs():
             assert is_cm_t(tsc_of(g), 1).verdict, (g.m, g.edges)
 
 
+def test_buchsbaum_iff_no_edge_or_no_isolated_vertex():
+    # connectivity is not needed (proof in the README): every vertex link of
+    # the TSC of a graph with an edge and no isolated vertex is connected,
+    # and an isolated vertex beside an edge makes the TSC impure
+    for g in all_labeled_graphs(5):
+        touched = {v for e in g.edges for v in e}
+        expected = not g.edges or len(touched) == g.m
+        cx = tsc_of(g)
+        for field in (Rationals(), PrimeField(2)):
+            assert is_cm_t(cx, 1, field).verdict == expected, (g.m, g.edges, field)
+
+
 def test_cm_implies_pure_on_corpus(corpus):
     for name, cx in corpus.items():
         if is_cm(cx).verdict:

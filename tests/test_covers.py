@@ -4,6 +4,7 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
+from click.testing import CliRunner
 
 import tscomplex.covers
 from tscomplex import (
@@ -11,13 +12,15 @@ from tscomplex import (
     SimplicialComplex,
     TotalLabeling,
     build_tsc,
+    complex_dumps,
     facet_ideal_decomposition,
     friendship_cover_count,
     gen_friendship,
     minimal_vertex_covers,
     stanley_reisner_generators,
 )
-from tscomplex.covers import _incidence, _minimal_transversals, decomposition_text
+from tscomplex.cli import main
+from tscomplex.covers import _incidence, _minimal_transversals
 from conftest import all_labeled_graphs, random_complexes, tsc_of
 from oracles import brute_force_minimal_covers, brute_force_minimal_nonfaces
 
@@ -156,6 +159,21 @@ def test_too_many_transversals_are_refused_as_they_are_found(monkeypatch):
                .covers) == 271
 
 
+def test_sparse_complex_is_refused_before_the_face_link_pass(monkeypatch):
+    # the path on 4,000 vertices has 7,999 labels and 31,984 facets, so at
+    # least C(7999, 2) - 3 * 31984 = 31,892,049 vertex pairs span no edge
+    path = tsc_of(Graph(4000, [(v, v + 1) for v in range(1, 4000)]))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"more than 250000 minimal transversals"):
+        stanley_reisner_generators(path)
+    assert time.perf_counter() - start < 1.0
+    # the 30-vertex path's bound (1,039 pairs) is below 1,500, but it has 1,651
+    # minimal non-faces: the pass still refuses it as they are found
+    monkeypatch.setattr(tscomplex.covers, "MAX_TRANSVERSALS", 1500)
+    with pytest.raises(ValueError, match="more than 1500 minimal transversals"):
+        stanley_reisner_generators(tsc_of(Graph(30, [(v, v + 1) for v in range(1, 30)])))
+
+
 def test_many_singleton_facets_have_one_cover():
     points = SimplicialComplex.from_facets([(i,) for i in range(1, 1501)])
     rep = minimal_vertex_covers(points)
@@ -168,11 +186,14 @@ def test_the_empty_facet_cannot_be_covered():
         minimal_vertex_covers(SimplicialComplex([()]))
 
 
-def test_decomposition_of_path():
+def test_decomposition_of_path(tmp_path):
     cx = SimplicialComplex.from_facets([(1, 2), (2, 3)])
     comps = facet_ideal_decomposition(cx)
     assert [c.variables for c in comps] == [(1, 3), (2,)]
-    assert decomposition_text(comps) == "(x1, x3) ∩ (x2)"
+    path = tmp_path / "path.json"
+    path.write_text(complex_dumps(cx))
+    result = CliRunner().invoke(main, ["decompose", str(path)], catch_exceptions=False)
+    assert (result.exit_code, result.output) == (0, "(x1, x3) ∩ (x2)\n")
 
 
 def test_decomposition_of_triangle():

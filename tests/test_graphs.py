@@ -78,13 +78,16 @@ def test_vertex_cap_is_checked_before_any_edge():
         Graph(MAX_VERTICES + 1, [])
     with pytest.raises(ValueError, match="at most"):
         gen_friendship(10 ** 9)
-    # the total graph has one vertex per label, m + |E| = 101,475 here, and is
-    # refused before any of its ~5 * 10^9 edge pairs is scanned
+    # K_450's total graph (101,475 labels, ~5 * 10^9 edge pairs) is refused by
+    # the facet cap before it is built; the path on 60,000 vertices passes the
+    # facet cap, and its total graph's 119,999 labels meet the label cap
     k450 = Graph(450, combinations(range(1, 451), 2))
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match="at most"):
-        build_tsc(k450, default_labeling(k450))
-    assert time.perf_counter() - start < 1.0
+    path = Graph(60_000, [(v, v + 1) for v in range(1, 60_000)])
+    for g, refusal in ((k450, "at most 1000000 facets"), (path, "at most 100000 vertices")):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=refusal):
+            build_tsc(g, default_labeling(g))
+        assert time.perf_counter() - start < 1.0
 
 
 def test_default_labeling_small():

@@ -91,7 +91,8 @@ def test_removed_entry_points_stay_removed():
     # BoundaryMatrix.entries; the closed form and the Euler characteristic
     # are oracles in tests/oracles.py, no command writes triplet text, and
     # the tests assert the TSC's first-homology criterion directly;
-    # build_tsc(g, lab).facets are the total indices
+    # build_tsc(g, lab).facets are the total indices; decompose renders its
+    # text from the cover report
     removed = [(tscomplex, "export_triplets"), (tscomplex.homology, "export_triplets"),
                (tscomplex, "euler_characteristic"), (tscomplex.homology, "euler_characteristic"),
                (SimplicialComplex, "all_faces"), (SimplicialComplex, "empty"),
@@ -101,5 +102,5 @@ def test_removed_entry_points_stay_removed():
                (tscomplex, "tsc_cm_shortcut"), (tscomplex.cohen_macaulay, "tsc_cm_shortcut"),
                (tscomplex, "total_indices"), (tscomplex.tsc, "total_indices"),
                (tscomplex, "TotalIndexSet"), (tscomplex.tsc, "TotalIndexSet"),
-               (Graph, "isolated_vertices")]
+               (Graph, "isolated_vertices"), (tscomplex.covers, "decomposition_text")]
     assert [(owner.__name__, name) for owner, name in removed if hasattr(owner, name)] == []

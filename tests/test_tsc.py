@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+import tscomplex.tsc
 from tscomplex import (
     Graph,
     SimplicialComplex,
@@ -116,6 +117,18 @@ def test_build_tsc_scales_to_path_400():
     cx = build_tsc(g, default_labeling(g))
     assert time.perf_counter() - start < 1.0
     assert len(cx.facets) == 8 * m - 16
+
+
+def test_facet_cap_bound_is_never_below_the_facet_count(monkeypatch):
+    # build_tsc checks a degree bound, not the count, so a cap one below the
+    # count must refuse every graph
+    for g in all_labeled_graphs(5):
+        lab = default_labeling(g)
+        count = len(build_tsc(g, lab).facets)
+        monkeypatch.setattr(tscomplex.tsc, "MAX_FACETS", count - 1)
+        with pytest.raises(ValueError, match="at most .* facets"):
+            build_tsc(g, lab)
+        monkeypatch.undo()
 
 
 def test_closed_form_rejects_n0():
