@@ -170,15 +170,10 @@ def check(kind, complex_file, t, field_str, fmt, assert_verdict, out):
     field = parse_field(field_str)
     if t is not None and kind != "cmt":
         raise ValueError(f"--t applies only to check cmt, not to check {kind}")
+    if t is None and kind == "cmt":
+        raise ValueError("check cmt requires --t")
     cx = _load_complex(complex_file)
-    if kind == "cm":
-        report = is_cm(cx, field)
-    elif kind == "buchsbaum":
-        report = is_cm_t(cx, 1, field)
-    else:
-        if t is None:
-            raise ValueError("check cmt requires --t")
-        report = is_cm_t(cx, t, field)
+    report = is_cm(cx, field) if kind == "cm" else is_cm_t(cx, 1 if t is None else t, field)
     payload = report.to_json_dict()
     text = f"{kind}: verdict={report.verdict} purity_ok={report.purity_ok}"
     if report.witness is not None:
@@ -228,7 +223,8 @@ def _cell(computed, expected) -> dict:
 
 
 def friendship_verification_rows(n_max: int) -> tuple[list[dict], bool]:
-    """Recompute the friendship-family claims for n = 1..n_max.
+    """Recompute the friendship-family claims for n = 1..n_max
+    (``verify-friendship --n-max`` holds n_max to 1..6).
 
     Each row compares the constructed complex against the closed forms:
     f-vector, boundary ranks over both GF(32003) and the rationals, Betti
@@ -237,8 +233,6 @@ def friendship_verification_rows(n_max: int) -> tuple[list[dict], bool]:
     3n+1 (reported alongside), the full census is larger for n >= 2, and the
     n = 1 count cell is reported as OPEN with all candidate values.
     """
-    if not 1 <= n_max <= 6:
-        raise ValueError(f"n_max must lie in 1..6, got {n_max}")
     rows = []
     all_pass = True
     for n in range(1, n_max + 1):
@@ -291,7 +285,7 @@ def _row_text(row: dict) -> str:
 
 
 @main.command("verify-friendship")
-@click.option("--n-max", type=int, default=3, show_default=True)
+@click.option("--n-max", type=click.IntRange(1, 6), default=3, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @click.option("--assert", "assert_verdict", is_flag=True, default=False,
               help="Exit 3 when any cell fails.")

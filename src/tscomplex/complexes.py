@@ -199,9 +199,9 @@ class SimplicialComplex:
 
     def is_facet_connected(self) -> bool:
         """True iff any two facets are joined by a chain of facets with
-        consecutive non-empty intersections, that is, iff there is at most
-        one facet or the vertices form one component."""
-        return len(self._facets) <= 1 or self.component_count() == 1
+        consecutive non-empty intersections, that is, iff the vertices form
+        at most one component ({∅} has none, a single facet one)."""
+        return self.component_count() <= 1
 
     def link(self, face) -> "SimplicialComplex":
         """The link at ``face``: all faces disjoint from it whose union with

@@ -358,3 +358,19 @@ def friendship_facets_closed_form(n: int) -> set[Face]:
             add(3 * n - i, 5 * n - k, 5 * n - j)
 
     return facets
+
+
+def friendship_large_cover_complements(n: int) -> set[Face]:
+    """Complements, within the labels 1..5n+1 of ``gen_friendship(n)``, of
+    the minimal covers of size 4n of the friendship TSC, in closed form.
+
+    B is the center 5n+1 with every triangle's outer edge 3k-1; each other
+    set is B with one outer edge 3k-1 swapped for one of triangle k's outer
+    vertices 3k-2, 3k or center edges 3n+2k-1, 3n+2k: 4n + 1 sets in all.
+    Enumeration confirms the family is complete for n = 2..8; that is not
+    proven.  At n = 1 the sizes 4n and 3n+1 coincide and these are 5 of 15.
+    """
+    base = {5 * n + 1} | {3 * k - 1 for k in range(1, n + 1)}
+    swapped = [base - {3 * k - 1} | {x} for k in range(1, n + 1)
+               for x in (3 * k - 2, 3 * k, 3 * n + 2 * k - 1, 3 * n + 2 * k)]
+    return {tuple(sorted(s)) for s in [base, *swapped]}

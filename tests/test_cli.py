@@ -193,6 +193,9 @@ def test_check_buchsbaum_and_cmt(runner, tmp_path):
     assert invoke(runner, "check", "buchsbaum", str(cpath), "--assert").exit_code == 0
     assert invoke(runner, "check", "cmt", str(cpath), "--t", "0", "--assert").exit_code == 3
     assert invoke(runner, "check", "cmt", str(cpath)).exit_code == 2  # missing --t
+    # the missing --t is refused before the file is read
+    result = invoke(runner, "check", "cmt", str(tmp_path / "missing.json"))
+    assert (result.exit_code, _error_lines(result)) == (2, ["Error: check cmt requires --t"])
 
 
 @pytest.mark.parametrize("kind", ["cm", "buchsbaum"])
@@ -277,8 +280,12 @@ def test_verify_friendship_n6_cover_census(runner):
 
 
 def test_verify_friendship_rejects_bad_n_max(runner):
+    assert "1<=x<=6" in invoke(runner, "verify-friendship", "--help").output
     for bad in ("0", "7", "9"):
-        assert invoke(runner, "verify-friendship", "--n-max", bad).exit_code == 2
+        result = invoke(runner, "verify-friendship", "--n-max", bad)
+        assert result.exit_code == 2
+        assert _error_lines(result) == [
+            f"Error: Invalid value for '--n-max': {bad} is not in the range 1<=x<=6."]
 
 
 @pytest.mark.parametrize("command", ["covers", "decompose"])

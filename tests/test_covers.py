@@ -20,9 +20,13 @@ from tscomplex import (
     stanley_reisner_generators,
 )
 from tscomplex.cli import main
-from tscomplex.covers import _incidence, _minimal_transversals
+from tscomplex.covers import _friendship_cover_formula, _incidence, _minimal_transversals
 from conftest import all_labeled_graphs, random_complexes, tsc_of
-from oracles import brute_force_minimal_covers, brute_force_minimal_nonfaces
+from oracles import (
+    brute_force_minimal_covers,
+    brute_force_minimal_nonfaces,
+    friendship_large_cover_complements,
+)
 
 
 def test_covers_of_one_triangle():
@@ -78,6 +82,20 @@ def test_friendship_closed_form_matches_cardinality_census(friendship_covers):
     for n in range(2, 7):
         at_card = sum(1 for c in friendship_covers[n].covers if len(c) == 3 * n + 1)
         assert at_card == friendship_cover_count(n), n
+
+
+def test_friendship_covers_of_size_4n_match_the_closed_form(friendship_covers):
+    def complements_of_size_4n(n):
+        labels = set(range(1, 5 * n + 2))
+        return {tuple(sorted(labels.difference(c)))
+                for c in friendship_covers[n].covers if len(c) == 4 * n}
+
+    for n in range(2, 7):
+        assert complements_of_size_4n(n) == friendship_large_cover_complements(n), n
+    # at n = 1 the sizes 4n and 3n+1 coincide: 15 covers = 5 of the family + 10
+    family, every = friendship_large_cover_complements(1), complements_of_size_4n(1)
+    assert len(family) == 5 and len(every) == 15 and family <= every
+    assert len(every - family) == _friendship_cover_formula(1) == 10
 
 
 def test_is_unmixed_examples(corpus):

@@ -129,6 +129,8 @@ def test_gen_friendship_n2_counts():
     g, lab = gen_friendship(2)
     assert (g.m, g.edge_count) == (5, 6)
     assert lab.label_count == 11
+    assert lab.vertex_labels == (1, 3, 4, 6, 11)
+    assert lab.edge_labels == (2, 7, 8, 5, 9, 10)
 
 
 def test_gen_friendship_degrees():
