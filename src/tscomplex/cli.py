@@ -9,6 +9,10 @@ byte-reproducible and diffable.  Exit codes: 0 success, 2 input error,
 The bundled 73-facet reference complex is available to every command that
 takes a complex file by passing the literal name ``c42-fixture`` instead of
 a path.
+
+Only ``complexes`` is imported with this module; each command imports the
+other library modules it runs when it runs, so a process loads only what
+its command needs (``gen`` adds ``graphs``, ``fvector`` on a file nothing).
 """
 
 from __future__ import annotations
@@ -17,17 +21,7 @@ from pathlib import Path
 
 import click
 
-from .cohen_macaulay import is_cm, is_cm_t
 from .complexes import SimplicialComplex, canonical_json, complex_dumps, complex_loads
-from .covers import (
-    _friendship_cover_formula,
-    decomposition_to_json_dict,
-    friendship_cover_count,
-    minimal_vertex_covers,
-)
-from .graphs import Graph, default_labeling, gen_c42, gen_friendship, graph_dumps, graph_loads
-from .homology import DEFAULT_FIELD, PrimeField, Rationals, homology_summary, parse_field
-from .tsc import build_tsc, c42_fixture
 
 
 class _Command(click.Command):
@@ -55,13 +49,24 @@ def _read(kind: str, path: str, loads):
 
 
 def _load_graph(path: str):
+    from .graphs import graph_loads
+
     return _read("graph", path, graph_loads)
 
 
 def _load_complex(path: str) -> SimplicialComplex:
     if path == "c42-fixture":
+        from .tsc import c42_fixture
+
         return c42_fixture()
     return _read("complex", path, complex_loads)
+
+
+def _field(spec: str | None):
+    """The field a ``--field`` spec names; ``homology.DEFAULT_FIELD`` without one."""
+    from .homology import DEFAULT_FIELD, parse_field
+
+    return DEFAULT_FIELD if spec is None else parse_field(spec)
 
 
 def _render(payload: dict, text: str, fmt: str) -> str:
@@ -92,6 +97,8 @@ _out = click.option("--out", type=str, default=None, help="Output file (stdout o
 @_out
 def gen_friendship_graph(n, out):
     """Friendship graph: n triangles sharing one vertex."""
+    from .graphs import gen_friendship, graph_dumps
+
     _emit(graph_dumps(*gen_friendship(n)), out)
 
 
@@ -99,6 +106,8 @@ def gen_friendship_graph(n, out):
 @_out
 def gen_c42_graph(out):
     """Two 4-cycles sharing a path of length two."""
+    from .graphs import gen_c42, graph_dumps
+
     _emit(graph_dumps(*gen_c42()), out)
 
 
@@ -108,6 +117,8 @@ def gen_c42_graph(out):
 @_out
 def gen_edge_list(m, edges, out):
     """Any graph on vertices 1..m, with the default labeling."""
+    from .graphs import Graph, default_labeling, graph_dumps
+
     pairs = []
     for text in edges:
         u, _, v = text.partition(",")
@@ -124,6 +135,8 @@ def gen_edge_list(m, edges, out):
 @click.option("--out", type=str, default=None)
 def tsc(graph_file, out):
     """Build the total simplicial complex of a labeled graph file."""
+    from .tsc import build_tsc
+
     _emit(complex_dumps(build_tsc(*_load_graph(graph_file))), out)
 
 
@@ -141,12 +154,14 @@ def fvector(complex_file, fmt, out):
 
 @main.command()
 @click.argument("complex_file")
-@click.option("--field", "field_str", default=str(DEFAULT_FIELD), help="'q' or 'gf:<p>'.")
+@click.option("--field", "field_str", default=None, help="'q' or 'gf:<p>'.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @click.option("--out", type=str, default=None)
 def homology(complex_file, field_str, fmt, out):
     """Ranks and Betti numbers over a field."""
-    field = parse_field(field_str)
+    from .homology import homology_summary
+
+    field = _field(field_str)
     cx = _load_complex(complex_file)
     summary = homology_summary(cx, field)
     text = (
@@ -160,14 +175,16 @@ def homology(complex_file, field_str, fmt, out):
 @click.argument("kind", type=click.Choice(["cm", "buchsbaum", "cmt"]))
 @click.argument("complex_file")
 @click.option("--t", "t", type=int, default=None, help="Level for the cmt check.")
-@click.option("--field", "field_str", default=str(DEFAULT_FIELD))
+@click.option("--field", "field_str", default=None)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @click.option("--assert", "assert_verdict", is_flag=True, default=False,
               help="Exit 3 when the verdict is false.")
 @click.option("--out", type=str, default=None)
 def check(kind, complex_file, t, field_str, fmt, assert_verdict, out):
     """Cohen-Macaulay / Buchsbaum / CM_t verdicts with failure witnesses."""
-    field = parse_field(field_str)
+    from .cohen_macaulay import is_cm, is_cm_t
+
+    field = _field(field_str)
     if t is not None and kind != "cmt":
         raise ValueError(f"--t applies only to check cmt, not to check {kind}")
     if t is None and kind == "cmt":
@@ -192,6 +209,8 @@ def check(kind, complex_file, t, field_str, fmt, assert_verdict, out):
 @click.option("--out", type=str, default=None)
 def covers(complex_file, fmt, assert_verdict, out):
     """Enumerate all minimal vertex covers."""
+    from .covers import minimal_vertex_covers
+
     cx = _load_complex(complex_file)
     report = minimal_vertex_covers(cx)
     lines = [f"unmixed={report.unmixed} count={len(report.covers)} "
@@ -208,6 +227,8 @@ def covers(complex_file, fmt, assert_verdict, out):
 @click.option("--out", type=str, default=None)
 def decompose(complex_file, fmt, out):
     """Primary decomposition of the facet ideal (one prime per cover)."""
+    from .covers import decomposition_to_json_dict, minimal_vertex_covers
+
     cx = _load_complex(complex_file)
     report = minimal_vertex_covers(cx)
     text = " ∩ ".join("(" + ", ".join(f"x{v}" for v in c) + ")" for c in report.covers)
@@ -233,6 +254,11 @@ def friendship_verification_rows(n_max: int) -> tuple[list[dict], bool]:
     3n+1 (reported alongside), the full census is larger for n >= 2, and the
     n = 1 count cell is reported as OPEN with all candidate values.
     """
+    from .covers import _friendship_cover_formula, friendship_cover_count, minimal_vertex_covers
+    from .graphs import gen_friendship
+    from .homology import PrimeField, Rationals, homology_summary
+    from .tsc import build_tsc
+
     rows = []
     all_pass = True
     for n in range(1, n_max + 1):

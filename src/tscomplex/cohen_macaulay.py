@@ -23,14 +23,13 @@ itself, ranks boundary matrices (∂1 and ∂2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexes import Face, SimplicialComplex
 from .homology import DEFAULT_FIELD, FieldSpec, homology_summary
 
 
-@dataclass(frozen=True)
-class CmWitness:
+class CmWitness(NamedTuple):
     """A face whose link has nonvanishing reduced homology in degree r."""
 
     face: Face
@@ -38,8 +37,7 @@ class CmWitness:
     betti: int
 
 
-@dataclass(frozen=True)
-class CmReport:
+class CmReport(NamedTuple):
     verdict: bool
     field: FieldSpec
     witness: CmWitness | None

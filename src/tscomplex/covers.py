@@ -30,8 +30,8 @@ cheap for TSCs, whose facets have at most 3 vertices, and bounded by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .complexes import Face, SimplicialComplex
 
@@ -50,8 +50,7 @@ def _too_many() -> ValueError:
                       "(covers or non-faces); refusing to list them all")
 
 
-@dataclass(frozen=True)
-class CoverReport:
+class CoverReport(NamedTuple):
     """All minimal vertex covers in canonical order, their size multiset,
     and whether the sizes agree (unmixedness)."""
 
@@ -67,8 +66,7 @@ class CoverReport:
         }
 
 
-@dataclass(frozen=True)
-class PrimeComponent:
+class PrimeComponent(NamedTuple):
     """One minimal prime of the facet ideal: the variables indexed by a
     minimal vertex cover."""
 

@@ -12,8 +12,8 @@ All values are immutable after construction and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .complexes import SimplicialComplex, canonical_json, json_int, parse_json
 
@@ -24,8 +24,12 @@ from .complexes import SimplicialComplex, canonical_json, json_int, parse_json
 MAX_VERTICES = 100_000
 
 
-@dataclass(frozen=True)
-class Graph:
+class _GraphFields(NamedTuple):
+    m: int
+    edges: tuple[tuple[int, int], ...]
+
+
+class Graph(_GraphFields):
     """A finite simple graph on vertices 1..m with canonically sorted edges.
 
     The constructor refuses an ``m`` or an edge end that is not an integer
@@ -33,10 +37,9 @@ class Graph:
     loop, a duplicate edge or an endpoint outside 1..m.
     """
 
-    m: int
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __init__(self, m: int, edges=()):
+    def __new__(cls, m: int, edges=()):
         json_int(m, "m")
         if m < 1:
             raise ValueError(f"vertex count must be positive, got {m}")
@@ -61,16 +64,23 @@ class Graph:
             if e in seen:
                 raise ValueError(f"duplicate edge {e}")
             seen[e] = None
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "edges", tuple(sorted(seen)))
+        return super().__new__(cls, m, tuple(sorted(seen)))
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)  # through the checks above, and so is _replace
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class TotalLabeling:
+class _TotalLabelingFields(NamedTuple):
+    vertex_labels: tuple[int, ...]
+    edge_labels: tuple[int, ...]
+
+
+class TotalLabeling(_TotalLabelingFields):
     """Bijection from the vertices and (canonically ordered) edges of a graph
     onto {1, ..., N}.
 
@@ -79,18 +89,21 @@ class TotalLabeling:
     that is not an integer (a bool or a float included) is refused.
     """
 
-    vertex_labels: tuple[int, ...]
-    edge_labels: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        labels = tuple(self.vertex_labels) + tuple(self.edge_labels)
+    def __new__(cls, vertex_labels, edge_labels):
+        vertex_labels, edge_labels = tuple(vertex_labels), tuple(edge_labels)
+        labels = vertex_labels + edge_labels
         for label in labels:
             json_int(label, "a label")
         n = len(labels)
         if set(labels) != set(range(1, n + 1)):
             raise ValueError(f"labels must be a bijection onto 1..{n}, got {labels}")
-        object.__setattr__(self, "vertex_labels", tuple(self.vertex_labels))
-        object.__setattr__(self, "edge_labels", tuple(self.edge_labels))
+        return super().__new__(cls, vertex_labels, edge_labels)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)  # through the checks above, and so is _replace
 
     @property
     def label_count(self) -> int:

@@ -35,18 +35,29 @@ vertices.  A complex of higher dimension has every ∂r eliminated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .complexes import Face, SimplicialComplex
+from .complexes import Face, SimplicialComplex, json_int
 
 
 # --- fields -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Rationals:
-    """Exact rational coefficients."""
+    """Exact rational coefficients.  It has no fields, so it is no tuple
+    (an empty one would be false); all instances are equal."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return isinstance(other, Rationals)
+
+    def __hash__(self):
+        return hash(Rationals)
+
+    def __repr__(self):
+        return "Rationals()"
 
     def __str__(self):
         return "q"
@@ -67,17 +78,27 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    """The finite field GF(p) for prime p < 2^64."""
-
+class _PrimeFieldFields(NamedTuple):
     p: int
 
-    def __post_init__(self):
-        if self.p >= 1 << 64:
-            raise ValueError(f"{self.p} is too large: primes must be below 2^64")
-        if not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+
+class PrimeField(_PrimeFieldFields):
+    """The finite field GF(p) for prime p < 2^64.  A ``p`` that is not an
+    integer (a bool or a float included) is refused."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int):
+        json_int(p, "a prime")
+        if p >= 1 << 64:
+            raise ValueError(f"{p} is too large: primes must be below 2^64")
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        return super().__new__(cls, p)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)  # through the checks above, and so is _replace
 
     def __str__(self):
         return f"gf:{self.p}"
@@ -105,8 +126,7 @@ def parse_field(spec: str) -> FieldSpec:
 # --- boundary matrices --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundaryMatrix:
+class BoundaryMatrix(NamedTuple):
     """Matrix of the r-th boundary map over the canonical face bases,
     stored by rows.
 
@@ -208,8 +228,7 @@ def matrix_rank(mat: BoundaryMatrix, field: FieldSpec) -> int:
 # --- homology summaries --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HomologySummary:
+class HomologySummary(NamedTuple):
     """Per-dimension ranks and Betti numbers of a complex over one field.
 
     ``rank_im[r]`` is the rank of the r-th boundary map (0 for r = 0),

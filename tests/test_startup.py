@@ -1,0 +1,58 @@
+"""What a fresh interpreter loads: ``import tscomplex`` loads no submodule,
+and a command loads only the modules it runs.  Each check runs in a child
+interpreter and asserts which modules are in ``sys.modules``; none times
+anything."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import tscomplex
+
+SUBMODULES = ("cohen_macaulay", "complexes", "covers", "graphs", "homology", "tsc")
+
+
+def run_fresh(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this tscomplex; its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tscomplex.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def loaded_after(code: str) -> set[str]:
+    """The ``tscomplex`` modules loaded once ``code`` has run."""
+    out = run_fresh(code + "\nimport sys\n"
+                    "print(*sorted(m for m in sys.modules if m.startswith('tscomplex')))")
+    return set(out.splitlines()[-1].split())
+
+
+def test_bare_import_loads_no_submodule():
+    assert loaded_after("import tscomplex") == {"tscomplex"}
+
+
+def test_names_and_submodules_resolve_after_a_bare_import():
+    run_fresh(
+        "import sys, tscomplex\n"
+        "assert tscomplex.covers is sys.modules['tscomplex.covers']\n"
+        "names = {}\n"
+        "exec('from tscomplex import *', names)\n"
+        "for name in tscomplex.__all__:\n"
+        "    module = sys.modules['tscomplex.' + tscomplex._MODULE_OF[name]]\n"
+        "    assert names[name] is getattr(module, name), name\n"
+        f"assert set(tscomplex.__all__) | set({SUBMODULES!r}) <= set(dir(tscomplex))\n"
+        "assert not hasattr(tscomplex, 'no_such_name')\n"
+    )
+
+
+def test_gen_loads_no_homology_cm_or_covers():
+    loaded = loaded_after("from tscomplex import cli\n"
+                          "cli.main(['gen', 'c42'], standalone_mode=False)")
+    assert loaded == {"tscomplex", "tscomplex.cli", "tscomplex.complexes", "tscomplex.graphs"}
+
+
+def test_no_module_imports_dataclasses():
+    imports = "".join(f"import tscomplex.{m}\n" for m in SUBMODULES + ("cli",))
+    assert run_fresh(imports + "import sys\nprint('dataclasses' in sys.modules)") == "False\n"
