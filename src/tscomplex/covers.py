@@ -12,6 +12,16 @@ every leaf is a minimal cover and no cover is reached twice: no minimality
 filter and no deduplication are needed, and the search depth is bounded by
 the cover size, not by the interpreter's recursion limit.
 
+A branch vertex that fails this test is also dropped from the candidates
+of every child of its node.  That is sound because critical sets only
+shrink as vertices are added: below the node every chosen set contains the
+node's, so the vertex would leave the same chosen vertex without a
+critical facet there too, and no minimal cover below the node contains it.
+Without this rule the star K_{1,k} costs Θ(k²) facet scans: after one leaf
+is chosen the centre stays a candidate that no node may add, every
+uncovered facet keeps two candidates, and the fewest-candidate scan never
+stops early.
+
 The minimal primes of the facet ideal correspond one-to-one to the minimal
 vertex covers, so the primary decomposition is read off the cover list.
 
@@ -92,21 +102,20 @@ def _incidence(facets: tuple[Face, ...]) -> tuple[tuple[int, ...], list[int], li
 def _minimal_transversals(vertices: tuple[int, ...], members: list[int],
                           hits: list[int]) -> list[tuple[int, ...]]:
     """Every minimal transversal of the sets ``members``, given as in
-    :func:`_incidence`, each once, in search order; more than
-    :data:`MAX_TRANSVERSALS` of them is a ``ValueError``.
+    :func:`_incidence`, each once as a sorted tuple of vertices, in search
+    order; more than :data:`MAX_TRANSVERSALS` of them is a ``ValueError``.
 
     A stack entry is (chosen vertices, their critical-facet masks,
-    uncovered facets, candidate vertices).
+    uncovered facets, candidate vertices); a child that covers every facet
+    is emitted at once instead of being pushed.
     """
+    uncov = (1 << len(members)) - 1
+    if not uncov:
+        return [()]
     found = []
-    stack = [((), (), (1 << len(members)) - 1, (1 << len(vertices)) - 1)]
+    stack = [((), (), uncov, (1 << len(vertices)) - 1)]
     while stack:
         chosen, crit, uncov, cand = stack.pop()
-        if not uncov:
-            found.append(tuple(vertices[i] for i in sorted(chosen)))
-            if len(found) > MAX_TRANSVERSALS:
-                raise _too_many()
-            continue
         # branch on the uncovered facet with the fewest candidates
         branch, fewest, rest = 0, len(vertices) + 1, uncov
         while rest and fewest > 1:
@@ -115,16 +124,27 @@ def _minimal_transversals(vertices: tuple[int, ...], members: list[int],
             options = members[low.bit_length() - 1] & cand
             if options.bit_count() < fewest:
                 branch, fewest = options, options.bit_count()
-        # sibling e may use the siblings branched before it, never the later ones
+        # sibling e may use the siblings branched before it, never the later
+        # ones; one that breaks minimality here is no child's candidate
         cand &= ~branch
         while branch:
             low = branch & -branch
             branch ^= low
             e = low.bit_length() - 1
-            kept = tuple(c & ~hits[e] for c in crit)
-            if all(kept):  # every chosen vertex still has a facet only it covers
-                stack.append((chosen + (e,), kept + (uncov & hits[e],), uncov & ~hits[e], cand))
-            cand |= low
+            miss = ~hits[e]
+            left = uncov & miss
+            # kept only if every chosen vertex keeps a critical facet; a child
+            # that covers every facet is emitted and needs no masks of its own
+            if left:
+                kept = tuple(map(miss.__and__, crit))
+                if all(kept):
+                    stack.append((chosen + (vertices[e],), kept + (uncov ^ left,), left, cand))
+                    cand |= low
+            elif all(map(miss.__and__, crit)):
+                found.append(tuple(sorted(chosen + (vertices[e],))))
+                if len(found) > MAX_TRANSVERSALS:
+                    raise _too_many()
+                cand |= low
     return found
 
 

@@ -35,7 +35,6 @@ vertices.  A complex of higher dimension has every ∂r eliminated.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .complexes import Face, SimplicialComplex, json_int
@@ -199,8 +198,11 @@ def _column_rank(columns, p: int) -> int:
             if head != 1:  # else ``col``, this loop's own copy, is kept as it is
                 if p:
                     inv = pow(head, -1, p)
+                elif head == -1:
+                    inv = head
                 else:
-                    inv = head if head == -1 else 1 / Fraction(head)
+                    from fractions import Fraction  # deferred: most processes never need it
+                    inv = 1 / Fraction(head)
                 col = {i: v * inv % p if p else v * inv for i, v in col.items()}
             pivots[low] = col
     return len(pivots)

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import time
+import types
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -333,7 +334,11 @@ def test_q_rank_leaves_the_integers_on_rp2_and_its_suspension(monkeypatch):
         calls.append(args)
         return Fraction(*args)
 
-    monkeypatch.setattr(tscomplex.homology, "Fraction", counting_fraction)
+    # the kernel imports Fraction only where it needs one, so it is handed
+    # a stand-in module whose Fraction counts its calls
+    counting = types.ModuleType("fractions")
+    counting.Fraction = counting_fraction
+    monkeypatch.setitem(sys.modules, "fractions", counting)
     rp2 = SimplicialComplex.from_facets(RP2)
     assert matrix_rank(boundary_matrix(rp2, 2), Rationals()) == 10
     assert calls, "RP2's d2 met no pivot other than +-1"

@@ -53,6 +53,13 @@ def test_gen_loads_no_homology_cm_or_covers():
     assert loaded == {"tscomplex", "tscomplex.cli", "tscomplex.complexes", "tscomplex.graphs"}
 
 
+IMPORT_ALL = "".join(f"import tscomplex.{m}\n" for m in SUBMODULES + ("cli",))
+
+
 def test_no_module_imports_dataclasses():
-    imports = "".join(f"import tscomplex.{m}\n" for m in SUBMODULES + ("cli",))
-    assert run_fresh(imports + "import sys\nprint('dataclasses' in sys.modules)") == "False\n"
+    assert run_fresh(IMPORT_ALL + "import sys\nprint('dataclasses' in sys.modules)") == "False\n"
+
+
+def test_no_module_imports_fractions():
+    # rank over Q imports it on the first pivot other than +-1
+    assert run_fresh(IMPORT_ALL + "import sys\nprint('fractions' in sys.modules)") == "False\n"
