@@ -35,7 +35,7 @@ class _Command(click.Command):
 
 
 def _emit(text: str, out: str | None):
-    if out:
+    if out is not None:
         Path(out).write_text(text)
     else:
         click.echo(text, nl=False)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .complexes import Face, SimplicialComplex
-from .homology import DEFAULT_FIELD, FieldSpec, homology_summary
+from .homology import DEFAULT_FIELD, FieldSpec, _characteristic, homology_summary
 
 
 class CmWitness(NamedTuple):
@@ -74,6 +74,7 @@ def _witness(cx: SimplicialComplex, field: FieldSpec, t: int = 0) -> CmWitness |
 def is_cm(cx: SimplicialComplex, field: FieldSpec = DEFAULT_FIELD) -> CmReport:
     """Cohen-Macaulay test: every link has vanishing reduced homology below
     its dimension.  Stops at the first failing face."""
+    _characteristic(field)
     witness = _witness(cx, field)
     return CmReport(witness is None, field, witness, cx.is_pure())
 
@@ -81,6 +82,7 @@ def is_cm(cx: SimplicialComplex, field: FieldSpec = DEFAULT_FIELD) -> CmReport:
 def is_cm_t(cx: SimplicialComplex, t: int, field: FieldSpec = DEFAULT_FIELD) -> CmReport:
     """CM_t test: purity plus vanishing reduced link homology in degrees
     r < dim(cx) - #face for every face with #face >= t vertices."""
+    _characteristic(field)
     d = cx.dimension() + 1
     if not 0 <= t <= d:
         raise ValueError(f"t must lie in 0..{d} for a complex of dimension {d - 1}, got {t}")

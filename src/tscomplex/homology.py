@@ -108,6 +108,18 @@ FieldSpec = Rationals | PrimeField
 DEFAULT_FIELD = PrimeField(32003)
 
 
+def _characteristic(field: FieldSpec) -> int:
+    """p for ``PrimeField(p)``, 0 for ``Rationals()``.  Anything else, a
+    spec string or a tuple equal to a ``PrimeField`` included, is refused
+    rather than read as the rationals."""
+    if isinstance(field, PrimeField):
+        return field.p
+    if isinstance(field, Rationals):
+        return 0
+    raise ValueError(f"not a field: {field!r}; pass parse_field(spec), PrimeField(p) "
+                     f"or Rationals()")
+
+
 def parse_field(spec: str) -> FieldSpec:
     """Parse a field spec string: "q" or "gf:<p>"."""
     spec = spec.strip().lower()
@@ -218,13 +230,13 @@ def matrix_rank(mat: BoundaryMatrix, field: FieldSpec) -> int:
     last row lies in the span of the rows kept, and dropping them leaves
     the rank unchanged over every field.
     """
+    p = _characteristic(field)
     last = {}
     for i, face in enumerate(mat.rows):
         for pos in range(mat.r):
             last[face[:pos] + face[pos + 1:]] = i
     dropped = set(last.values())
-    return _column_rank([row for i, row in enumerate(mat.entries) if i not in dropped],
-                        field.p if isinstance(field, PrimeField) else 0)
+    return _column_rank([row for i, row in enumerate(mat.entries) if i not in dropped], p)
 
 
 # --- homology summaries --------------------------------------------------------
@@ -265,6 +277,7 @@ def homology_summary(cx: SimplicialComplex, field: FieldSpec = DEFAULT_FIELD) ->
     On a graph, rank ∂_1 is f_0 minus the number of components over every
     field; otherwise each rank is eliminated.
     """
+    _characteristic(field)
     dim = cx.dimension()
     if dim < 0:
         return HomologySummary(field, (), (), (), (), ())

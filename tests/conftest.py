@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 from itertools import combinations
 
@@ -12,6 +14,19 @@ from tscomplex import (
     gen_c42,
     gen_friendship,
 )
+from tscomplex.cli import main
+
+
+def run_cli(*args):
+    """Run ``tscomplex *args`` in this process: ``(exit code, stdout, stderr)``.
+
+    The command always ends by raising ``SystemExit``; any other exception
+    propagates, so a traceback fails the calling test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            pytest.raises(SystemExit) as exited:
+        main(list(args))
+    return exited.value.code, out.getvalue(), err.getvalue()
 
 
 def all_labeled_graphs(max_m):

@@ -4,7 +4,6 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
-from click.testing import CliRunner
 
 import tscomplex.covers
 from tscomplex import (
@@ -19,9 +18,8 @@ from tscomplex import (
     minimal_vertex_covers,
     stanley_reisner_generators,
 )
-from tscomplex.cli import main
 from tscomplex.covers import _friendship_cover_formula, _incidence, _minimal_transversals
-from conftest import all_labeled_graphs, random_complexes, tsc_of
+from conftest import all_labeled_graphs, random_complexes, run_cli, tsc_of
 from oracles import (
     brute_force_minimal_covers,
     brute_force_minimal_nonfaces,
@@ -223,8 +221,7 @@ def test_decomposition_of_path(tmp_path):
     assert [c.variables for c in comps] == [(1, 3), (2,)]
     path = tmp_path / "path.json"
     path.write_text(complex_dumps(cx))
-    result = CliRunner().invoke(main, ["decompose", str(path)], catch_exceptions=False)
-    assert (result.exit_code, result.output) == (0, "(x1, x3) ∩ (x2)\n")
+    assert run_cli("decompose", str(path)) == (0, "(x1, x3) ∩ (x2)\n", "")
 
 
 def test_decomposition_of_triangle():

@@ -305,6 +305,20 @@ def test_kernel_sees_the_characteristic_on_rp2():
     suspension = SimplicialComplex.from_facets(f + (apex,) for f in RP2 for apex in (7, 8))
     assert homology_summary(suspension, Rationals()).reduced_betti == (0, 0, 0, 0)
     assert homology_summary(suspension, PrimeField(2)).reduced_betti == (0, 0, 1, 1)
+    gf2 = parse_field("gf:2")
+    assert homology_summary(rp2, gf2).reduced_betti == (0, 1, 1)
+    report = is_cm(rp2, gf2)
+    assert not report.verdict and (report.witness.face, report.witness.r) == ((), 1)
+
+
+@pytest.mark.parametrize("not_a_field", ["gf:2", 2, (2,), None])
+def test_entry_points_refuse_what_is_not_a_field(not_a_field):
+    rp2 = SimplicialComplex.from_facets(RP2)
+    d2 = boundary_matrix(rp2, 2)
+    for call in (lambda f: matrix_rank(d2, f), lambda f: homology_summary(rp2, f),
+                 lambda f: is_cm(rp2, f), lambda f: is_cm_t(rp2, 1, f)):
+        with pytest.raises(ValueError, match=r"^not a field: .*parse_field"):
+            call(not_a_field)
 
 
 def test_tsc_cm_verdict_depends_on_the_field():

@@ -9,11 +9,9 @@ import shlex
 import tokenize
 from pathlib import Path
 
-from click.testing import CliRunner
-
 import tscomplex
 from tscomplex import BoundaryMatrix, Graph, SimplicialComplex
-from tscomplex.cli import main
+from conftest import run_cli
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -52,23 +50,22 @@ def test_library_sketch_values_hold():
     assert len(checked) == 5, checked
 
 
-def test_cli_block_runs_with_the_stated_exit_codes_and_values():
+def test_cli_block_runs_with_the_stated_exit_codes_and_values(tmp_path, monkeypatch):
     (block,) = re.findall(r"## CLI\n\n```sh\n(.*?)```", README.read_text(), re.S)
-    runner = CliRunner()
+    monkeypatch.chdir(tmp_path)
     stated_values = []
-    with runner.isolated_filesystem():
-        for line in block.splitlines():
-            command, _, comment = line.partition("#")
-            program, *args = shlex.split(command)
-            assert program == "tscomplex", line
-            result = runner.invoke(main, args, catch_exceptions=False)
-            # a comment that opens with "exit <n>:" states the exit code; 0 otherwise
-            code = re.match(r"exit (\d+):", comment.strip())
-            assert result.exit_code == (int(code[1]) if code else 0), (line, result.output)
-            stated = _leading_literal(comment.strip())
-            if stated is not None:
-                assert result.output == f"{stated[0]}\n", (line, result.output)
-                stated_values.append(stated[0])
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        program, *args = shlex.split(command)
+        assert program == "tscomplex", line
+        code, out, err = result = run_cli(*args)
+        # a comment that opens with "exit <n>:" states the exit code; 0 otherwise
+        stated_code = re.match(r"exit (\d+):", comment.strip())
+        assert (code, err) == (int(stated_code[1]) if stated_code else 0, ""), (line, result)
+        stated = _leading_literal(comment.strip())
+        if stated is not None:
+            assert out == f"{stated[0]}\n", (line, result)
+            stated_values.append(stated[0])
     assert len(block.splitlines()) == 12
     assert stated_values == [(11, 50, 76)]
 
