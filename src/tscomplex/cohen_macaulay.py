@@ -18,14 +18,14 @@ The link of σ has dimension at most dim - #σ, so on a 2-dimensional complex
 (the TSC of any graph with an edge) each vertex link is a graph: the only
 degree below its dimension is H̃0, which :func:`homology_summary` reads off a
 component count without elimination.  Only the link at ∅, the complex
-itself, ranks boundary matrices (∂1 and ∂2).
+itself, ranks boundary matrices: ∂1 by a union-find, ∂2 by elimination.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .complexes import Face, SimplicialComplex
+from .complexes import Face, SimplicialComplex, json_int
 from .homology import DEFAULT_FIELD, FieldSpec, _characteristic, homology_summary
 
 
@@ -81,10 +81,11 @@ def is_cm(cx: SimplicialComplex, field: FieldSpec = DEFAULT_FIELD) -> CmReport:
 
 def is_cm_t(cx: SimplicialComplex, t: int, field: FieldSpec = DEFAULT_FIELD) -> CmReport:
     """CM_t test: purity plus vanishing reduced link homology in degrees
-    r < dim(cx) - #face for every face with #face >= t vertices."""
+    r < dim(cx) - #face for every face with #face >= t vertices.  A ``t``
+    that is not an integer (a bool or a float included) is refused."""
     _characteristic(field)
     d = cx.dimension() + 1
-    if not 0 <= t <= d:
+    if not 0 <= json_int(t, "t") <= d:
         raise ValueError(f"t must lie in 0..{d} for a complex of dimension {d - 1}, got {t}")
     if not cx.is_pure():
         return CmReport(False, field, None, purity_ok=False)

@@ -92,6 +92,27 @@ def _antichain(faces: set[Face]) -> tuple[Face, ...]:
                  if len(face) == top or (face and len(_through(index, face)) == 1))
 
 
+def _component_count(vertices, faces) -> int:
+    """The number of components of the graph on ``vertices`` in which each
+    face joins its vertices (every vertex of a face must be one of them).
+
+    A union-find with path halving: the root of each face's first vertex
+    is found, and the root of each further vertex is pointed at it."""
+    parent = {v: v for v in vertices}
+    components = len(parent)
+    for face in faces:
+        root = None
+        for v in face:
+            while parent[v] != v:  # path halving: point v at its grandparent, then step there
+                parent[v] = v = parent[parent[v]]
+            if root is None:
+                root = v
+            elif v != root:
+                parent[v] = root
+                components -= 1
+    return components
+
+
 class SimplicialComplex:
     """An abstract simplicial complex given by its facet antichain."""
 
@@ -122,7 +143,7 @@ class SimplicialComplex:
 
     def _set_facets(self, facets: tuple[Face, ...]) -> None:
         self._facets = facets
-        self._vertices = tuple(sorted({v for f in facets for v in f}))
+        self._vertices = tuple(sorted(set().union(*facets)))
         self._dim = max(map(len, facets)) - 1
         self._faces_by_dim = {}
         self._index = None
@@ -180,22 +201,9 @@ class SimplicialComplex:
         return tuple(len(self.faces(k)) for k in range(self._dim + 1))
 
     def component_count(self) -> int:
-        """The number of connected components: a union-find on the vertices
-        merges the roots of each facet's vertices.  {∅} has none."""
-        parent = {v: v for v in self._vertices}
-        components = len(parent)
-        for facet in self._facets:
-            roots = set()
-            for v in facet:
-                while parent[v] != v:  # path halving: point v at its grandparent, then step there
-                    parent[v] = v = parent[parent[v]]
-                roots.add(v)
-            if len(roots) > 1:
-                root = roots.pop()
-                for other in roots:
-                    parent[other] = root
-                components -= len(roots)
-        return components
+        """The number of connected components, by :func:`_component_count`
+        on the vertices and facets.  {∅} has none."""
+        return _component_count(self._vertices, self._facets)
 
     def is_facet_connected(self) -> bool:
         """True iff any two facets are joined by a chain of facets with

@@ -13,7 +13,7 @@ the rationals entries stay ints until a pivot other than +-1 makes
 fractions.  The default working field is GF(32003); the rationals serve
 as the independent verification route.
 
-:func:`matrix_rank` hands the kernel the stored rows of ∂_r, not its
+:func:`matrix_rank` hands the kernel the stored rows of ∂_r, r >= 2, not its
 columns.  A column reduction spends most of its work on the columns that end up zero,
 and ∂_r has dim ker ∂_r of them (460 of the 820 triangles of the friendship
 TSC at n = 6).  The rows have a known dependency instead: ∂_{r-1} ∂_r = 0
@@ -25,19 +25,23 @@ rank itself, so no row is reduced to zero there.  This is the "clearing" or
 "Persistent homology computation with a twist", 2011; de Silva, Morozov &
 Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011).
 
-:func:`homology_summary` eliminates nothing for a 1-dimensional complex
-(a graph), such as a vertex link of a 2-dimensional complex: a graph's
-oriented incidence matrix has rank f0 - (number of components) over every
-field (Munkres, *Elements of Algebraic Topology*, 1984, §7), so it reads
-rank ∂1 off :meth:`SimplicialComplex.component_count`, a union-find on the
-vertices.  A complex of higher dimension has every ∂r eliminated.
+∂1 of every complex is ranked without elimination: it is the oriented
+incidence matrix of the complex's 1-skeleton, a graph, and has rank
+f0 - (number of components) over every field (Munkres, *Elements of
+Algebraic Topology*, 1984, §7), so clearing starts at r = 2.
+:func:`matrix_rank` counts the components of ∂1's rows and columns with a
+union-find; :func:`homology_summary` of a 1-dimensional complex, such as a
+vertex link of a 2-dimensional complex, builds no matrix and reads
+:meth:`SimplicialComplex.component_count`, the same union-find on the
+vertices and facets.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple
 
-from .complexes import Face, SimplicialComplex, json_int
+from .complexes import Face, SimplicialComplex, _component_count, json_int
 
 
 # --- fields -----------------------------------------------------------------
@@ -160,17 +164,35 @@ class BoundaryMatrix(NamedTuple):
         return len(self.rows) * len(self.cols)
 
 
+def _face_drops(r: int) -> list[itemgetter]:
+    """For each position of an r-face, r >= 1, in ascending order, a getter
+    that maps the face to the (r-1)-face without that position: a slice at
+    the two ends, the r remaining indices in between.
+
+    A face through a fixed (r-1)-face σ that drops at an earlier position
+    comes earlier in canonical order: the two agree up to that position,
+    where the first holds its extra vertex, smaller than σ's vertex there.
+    """
+    return [itemgetter(slice(1, None)),
+            *(itemgetter(*range(pos), *range(pos + 1, r + 1)) for pos in range(1, r)),
+            itemgetter(slice(None, r))]
+
+
 def boundary_matrix(cx: SimplicialComplex, r: int) -> BoundaryMatrix:
-    """The boundary map from r-faces to (r-1)-faces, 1 <= r <= dim."""
+    """The boundary map from r-faces to (r-1)-faces, 1 <= r <= dim.
+
+    Each position's getter is mapped over all the columns; by the order in
+    :func:`_face_drops`, each row receives its columns in ascending order."""
     if not 1 <= r <= cx.dimension():
         raise ValueError(f"boundary dimension {r} out of range 1..{cx.dimension()}")
     rows = tuple(cx.faces(r - 1))
     cols = tuple(cx.faces(r))
     entries = tuple({} for _ in rows)
-    row_of = dict(zip(rows, entries))
-    for j, face in enumerate(cols):
-        for pos in range(r + 1):
-            row_of[face[:pos] + face[pos + 1:]][j] = -1 if pos % 2 else 1
+    row_of = dict(zip(rows, entries)).__getitem__
+    for pos, drop in enumerate(_face_drops(r)):
+        sign = -1 if pos % 2 else 1
+        for j, row in enumerate(map(row_of, map(drop, cols))):
+            row[j] = sign
     return BoundaryMatrix(r=r, rows=rows, cols=cols, entries=entries)
 
 
@@ -221,20 +243,28 @@ def _column_rank(columns, p: int) -> int:
 
 
 def matrix_rank(mat: BoundaryMatrix, field: FieldSpec) -> int:
-    """Exact rank of a boundary matrix over ``field``, reduced by its rows.
+    """Exact rank of a boundary matrix over ``field``.
 
-    Row i is the (r-1)-face ``mat.rows[i]``.  For each (r-2)-face τ the rows
-    through τ sum to zero with coefficients +-1 (∂_{r-1} ∂_r = 0, or the
-    augmentation ε ∂_1 = 0 when r = 1 and τ = ∅), so the last of them lies
-    in the span of the earlier ones; by induction up the rows, each such
-    last row lies in the span of the rows kept, and dropping them leaves
-    the rank unchanged over every field.
+    For r = 1 it reads only ``mat.rows`` and ``mat.cols``, not the entries,
+    so ``mat`` must be built by :func:`boundary_matrix`: ∂_1 is the oriented
+    incidence matrix of a graph, whose rank over every field is its vertex
+    count minus its number of components, counted by a union-find.
+
+    For r >= 2 it reduces the rows.  Row i is the (r-1)-face
+    ``mat.rows[i]``.  For each (r-2)-face τ the rows through τ sum to zero
+    with coefficients +-1 (∂_{r-1} ∂_r = 0), so the last of them lies in
+    the span of the earlier ones; by induction up the rows, each such last
+    row lies in the span of the rows kept, and dropping them leaves the
+    rank unchanged over every field.
     """
     p = _characteristic(field)
+    if mat.r == 1:
+        return len(mat.rows) - _component_count((v for (v,) in mat.rows), mat.cols)
+    # by the order in _face_drops, the last position to write τ writes the
+    # last row through it
     last = {}
-    for i, face in enumerate(mat.rows):
-        for pos in range(mat.r):
-            last[face[:pos] + face[pos + 1:]] = i
+    for drop in _face_drops(mat.r - 1):
+        last.update(zip(map(drop, mat.rows), range(len(mat.rows))))
     dropped = set(last.values())
     return _column_rank([row for i, row in enumerate(mat.entries) if i not in dropped], p)
 
@@ -275,7 +305,8 @@ def homology_summary(cx: SimplicialComplex, field: FieldSpec = DEFAULT_FIELD) ->
     betti[r] = dim ker ∂_r - rank ∂_{r+1}; the reduced numbers agree except
     in dimension 0 where one copy of the field (the augmentation) drops out.
     On a graph, rank ∂_1 is f_0 minus the number of components over every
-    field; otherwise each rank is eliminated.
+    field, read off :meth:`SimplicialComplex.component_count`; otherwise
+    each rank is :func:`matrix_rank`'s.
     """
     _characteristic(field)
     dim = cx.dimension()

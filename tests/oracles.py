@@ -4,8 +4,8 @@ Everything here recomputes results the slow, obviously-correct way so the
 fast implementations can be checked against them.
 """
 
-from fractions import Fraction
 from itertools import chain, combinations
+from math import gcd
 
 import numpy as np
 
@@ -74,13 +74,15 @@ def brute_force_minimal_covers(cx: SimplicialComplex) -> list[tuple[int, ...]]:
 
 
 def dense_rank(rows, p: int = 0) -> int:
-    """Rank of a dense matrix, given as a list of rows, by plain Gaussian
-    elimination with row swaps: over exact fractions when ``p`` is 0, else
-    over GF(p) with integers mod p."""
+    """Rank of a dense integer matrix, given as a list of rows, by plain
+    Gaussian elimination with row swaps: over GF(p) with integers mod p, or
+    over Q when ``p`` is 0, fraction-free: a row is cleared by a multiple
+    of the pivot row after scaling it by the pivot, then divided by the gcd
+    of its entries, so every step keeps the rank and the entries small."""
     if p:
         rows = [[x % p for x in row] for row in rows]
     else:
-        rows = [[Fraction(x) for x in row] for row in rows]
+        rows = [list(row) for row in rows]
     rank = 0
     for col in range(len(rows[0]) if rows else 0):
         pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
@@ -94,8 +96,10 @@ def dense_rank(rows, p: int = 0) -> int:
                     factor = rows[i][col] * pow(top[col], -1, p) % p
                     rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], top)]
                 else:
-                    factor = rows[i][col] / top[col]
-                    rows[i] = [a - factor * b for a, b in zip(rows[i], top)]
+                    scale, factor = top[col], rows[i][col]
+                    row = [a * scale - factor * b for a, b in zip(rows[i], top)]
+                    g = gcd(*row)
+                    rows[i] = [a // g for a in row] if g > 1 else row
         rank += 1
     return rank
 
@@ -111,9 +115,8 @@ def brute_force_reduced_betti(facets) -> tuple[int, ...]:
     (any iterable of vertex tuples; dominated sets are harmless).
 
     Lists every non-empty subset of every generator, builds each boundary
-    matrix entry by entry with signs (-1)^i, and ranks it over
-    ``fractions.Fraction`` with :func:`dense_rank`; the augmentation
-    C_0 -> C_{-1} has rank 1.
+    matrix entry by entry with signs (-1)^i, and ranks it over Q with
+    :func:`dense_rank`; the augmentation C_0 -> C_{-1} has rank 1.
     """
     by_dim: dict[int, set[tuple[int, ...]]] = {}
     for f in facets:

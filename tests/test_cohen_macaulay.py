@@ -103,6 +103,16 @@ def test_is_cm_t_rejects_bad_t(corpus):
         is_cm_t(corpus["solid_triangle"], -1)
 
 
+def test_is_cm_t_refuses_a_t_that_is_not_an_integer(corpus):
+    cx = corpus["two_triangles_shared_vertex"]
+    for t in (True, 1.0, 1.5):
+        with pytest.raises(ValueError, match="t must be an integer"):
+            is_cm_t(cx, t)
+    # the link of the shared vertex is two disjoint edges
+    assert is_cm_t(cx, 1) == CmReport(False, PrimeField(32003), CmWitness((3,), 0, 1),
+                                      purity_ok=True)
+
+
 def test_buchsbaum_but_not_cm():
     # two disjoint triangles: every vertex link is an edge, but the complex
     # itself is disconnected, which only the t=0 check sees

@@ -212,12 +212,27 @@ def test_rank_d1_from_components_equals_elimination(corpus):
     complexes = [cx for cx in complexes if cx.dimension() >= 1]
     assert sum(cx.component_count() > 1 for cx in complexes) >= 25
     assert sum(cx.dimension() == 1 for cx in complexes) >= 100
+    # matrix_rank reads rank d1 off a union-find too, so the elimination is
+    # the oracle's, over the entries the union-find never reads
     for cx in complexes:
         d1 = boundary_matrix(cx, 1)
-        for field in (Rationals(), PrimeField(2), PrimeField(32003)):
-            rank = matrix_rank(d1, field)
+        for field, p in ((Rationals(), 0), (PrimeField(2), 2), (PrimeField(32003), 32003)):
+            rank = dense_boundary_rank(d1, p)
             assert cx.f_vector()[0] - cx.component_count() == rank, (field, cx)
+            assert matrix_rank(d1, field) == rank, (field, cx)
             assert homology_summary(cx, field).rank_im[1] == rank, (field, cx)
+
+
+def test_rank_d1_eliminates_nothing(monkeypatch):
+    def refuse(columns, p):
+        raise AssertionError("d1 was eliminated")
+
+    monkeypatch.setattr(tscomplex.homology, "_column_rank", refuse)
+    friendship = build_tsc(*gen_friendship(3))
+    two_triangles = SimplicialComplex.from_facets([(1, 2, 3), (4, 5, 6)])
+    for field in (Rationals(), PrimeField(2), PrimeField(32003)):
+        assert matrix_rank(boundary_matrix(friendship, 1), field) == 15
+        assert matrix_rank(boundary_matrix(two_triangles, 1), field) == 4
 
 
 def test_graphs_and_vertex_links_need_no_elimination(monkeypatch):
@@ -363,11 +378,12 @@ def test_q_rank_leaves_the_integers_on_rp2_and_its_suspension(monkeypatch):
 
 
 # Ranks of d1 and d2 where matrix_rank keeps no spare row, so a version
-# that dropped more rows would read too low.  After the last row through
-# each (r-2)-face is dropped, d2 of the 5-cycle's TSC keeps 31 rows for
-# rank 30 (H~1 = 1) and d1 of two disjoint triangles 5 rows for rank 4
-# (H~0 = 1); every other matrix here keeps exactly its rank, except d2 of
-# RP2 over GF(2), which keeps 10 rows for rank 9.
+# that dropped more rows would read too low.  d1 is ranked by a union-find
+# (two disjoint triangles: 6 vertices, 2 components, rank 4); clearing
+# starts at d2.  After the last row through each vertex is dropped, d2 of
+# the 5-cycle's TSC keeps 31 rows for rank 30 (H~1 = 1); every other d2
+# here keeps exactly its rank, except that of RP2 over GF(2), which keeps
+# 10 rows for rank 9.
 ROW_CASES = {  # name: (complex, ranks of d1 and d2 over Q)
     "five_cycle_tsc": (tsc_of(Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])), (9, 30)),
     "two_disjoint_triangles": (SimplicialComplex.from_facets([(1, 2, 3), (4, 5, 6)]), (4, 2)),
