@@ -10,35 +10,45 @@ The bundled 73-facet reference complex is available to every command that
 takes a complex file by passing the literal name ``c42-fixture`` instead of
 a path.
 
-Only ``complexes`` is imported with this module; each command imports the
-other library modules it runs when it runs, so a process loads only what
-its command needs (``gen`` adds ``graphs``, ``fvector`` on a file nothing).
+Only ``argparse`` and ``complexes`` are imported with this module; each
+command imports the other library modules it runs when it runs, so a
+process loads only what its command needs (``gen`` adds ``graphs``,
+``fvector`` on a file nothing).
 """
 
 from __future__ import annotations
 
+import argparse
+import functools
+import sys
 from pathlib import Path
-
-import click
 
 from .complexes import SimplicialComplex, canonical_json, complex_dumps, complex_loads
 
 
-class _Command(click.Command):
-    """A command whose ``ValueError`` or ``OSError`` is an input error."""
+def _refuse(message: str):
+    """Exit 2 with one ``Error:`` line, the last line on stderr."""
+    sys.stderr.write(f"Error: {message}\n")
+    raise SystemExit(2)
 
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (ValueError, OSError) as exc:
-            raise click.UsageError(str(exc), ctx) from exc
+
+class _Parser(argparse.ArgumentParser):
+    """A parser that takes no abbreviated option and refuses a bad command
+    line with its usage line and one ``Error:`` line."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        _refuse(message)
 
 
 def _emit(text: str, out: str | None):
     if out is not None:
         Path(out).write_text(text)
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
 def _read(kind: str, path: str, loads):
@@ -75,26 +85,6 @@ def _render(payload: dict, text: str, fmt: str) -> str:
     return text + "\n"
 
 
-@click.group()
-def main():
-    """Total simplicial complexes: build, inspect, verify."""
-
-
-main.command_class = _Command
-
-
-@main.group()
-def gen():
-    """Write a labeled graph as canonical JSON."""
-
-
-gen.command_class = _Command
-_out = click.option("--out", type=str, default=None, help="Output file (stdout otherwise).")
-
-
-@gen.command("friendship")
-@click.option("--n", type=int, required=True, help="Triangle count.")
-@_out
 def gen_friendship_graph(n, out):
     """Friendship graph: n triangles sharing one vertex."""
     from .graphs import gen_friendship, graph_dumps
@@ -102,8 +92,6 @@ def gen_friendship_graph(n, out):
     _emit(graph_dumps(*gen_friendship(n)), out)
 
 
-@gen.command("c42")
-@_out
 def gen_c42_graph(out):
     """Two 4-cycles sharing a path of length two."""
     from .graphs import gen_c42, graph_dumps
@@ -111,10 +99,6 @@ def gen_c42_graph(out):
     _emit(graph_dumps(*gen_c42()), out)
 
 
-@gen.command("edge-list")
-@click.option("-m", "--m", "m", type=int, required=True, help="Vertex count.")
-@click.option("-e", "--edge", "edges", multiple=True, help="Edge 'u,v' (repeatable).")
-@_out
 def gen_edge_list(m, edges, out):
     """Any graph on vertices 1..m, with the default labeling."""
     from .graphs import Graph, default_labeling, graph_dumps
@@ -130,9 +114,6 @@ def gen_edge_list(m, edges, out):
     _emit(graph_dumps(g, default_labeling(g)), out)
 
 
-@main.command()
-@click.argument("graph_file")
-@click.option("--out", type=str, default=None)
 def tsc(graph_file, out):
     """Build the total simplicial complex of a labeled graph file."""
     from .tsc import build_tsc
@@ -140,10 +121,6 @@ def tsc(graph_file, out):
     _emit(complex_dumps(build_tsc(*_load_graph(graph_file))), out)
 
 
-@main.command()
-@click.argument("complex_file")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@click.option("--out", type=str, default=None)
 def fvector(complex_file, fmt, out):
     """Face counts per dimension."""
     cx = _load_complex(complex_file)
@@ -152,11 +129,6 @@ def fvector(complex_file, fmt, out):
     _emit(_render(payload, str(tuple(alpha)), fmt), out)
 
 
-@main.command()
-@click.argument("complex_file")
-@click.option("--field", "field_str", default=None, help="'q' or 'gf:<p>'.")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@click.option("--out", type=str, default=None)
 def homology(complex_file, field_str, fmt, out):
     """Ranks and Betti numbers over a field."""
     from .homology import homology_summary
@@ -171,15 +143,6 @@ def homology(complex_file, field_str, fmt, out):
     _emit(_render(summary.to_json_dict(), text, fmt), out)
 
 
-@main.command()
-@click.argument("kind", type=click.Choice(["cm", "buchsbaum", "cmt"]))
-@click.argument("complex_file")
-@click.option("--t", "t", type=int, default=None, help="Level for the cmt check.")
-@click.option("--field", "field_str", default=None)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@click.option("--assert", "assert_verdict", is_flag=True, default=False,
-              help="Exit 3 when the verdict is false.")
-@click.option("--out", type=str, default=None)
 def check(kind, complex_file, t, field_str, fmt, assert_verdict, out):
     """Cohen-Macaulay / Buchsbaum / CM_t verdicts with failure witnesses."""
     from .cohen_macaulay import is_cm, is_cm_t
@@ -201,12 +164,6 @@ def check(kind, complex_file, t, field_str, fmt, assert_verdict, out):
         raise SystemExit(3)
 
 
-@main.command()
-@click.argument("complex_file")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@click.option("--assert", "assert_verdict", is_flag=True, default=False,
-              help="Exit 3 when the complex is not unmixed.")
-@click.option("--out", type=str, default=None)
 def covers(complex_file, fmt, assert_verdict, out):
     """Enumerate all minimal vertex covers."""
     from .covers import minimal_vertex_covers
@@ -221,10 +178,6 @@ def covers(complex_file, fmt, assert_verdict, out):
         raise SystemExit(3)
 
 
-@main.command()
-@click.argument("complex_file")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@click.option("--out", type=str, default=None)
 def decompose(complex_file, fmt, out):
     """Primary decomposition of the facet ideal (one prime per cover)."""
     from .covers import decomposition_to_json_dict, minimal_vertex_covers
@@ -310,12 +263,6 @@ def _row_text(row: dict) -> str:
     return " | ".join(parts)
 
 
-@main.command("verify-friendship")
-@click.option("--n-max", type=click.IntRange(1, 6), default=3, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@click.option("--assert", "assert_verdict", is_flag=True, default=False,
-              help="Exit 3 when any cell fails.")
-@click.option("--out", type=str, default=None)
 def verify_friendship(n_max, fmt, assert_verdict, out):
     """Recompute every friendship-family claim and report PASS/FAIL cells."""
     rows, all_pass = friendship_verification_rows(n_max)
@@ -323,6 +270,86 @@ def verify_friendship(n_max, fmt, assert_verdict, out):
     _emit(_render(payload, "\n".join(_row_text(r) for r in rows), fmt), out)
     if assert_verdict and not all_pass:
         raise SystemExit(3)
+
+
+def _n_max(text: str) -> int:
+    """``--n-max``: an integer in 1..6."""
+    n = int(text) if text.isdigit() else 0
+    if not 1 <= n <= 6:
+        raise argparse.ArgumentTypeError(f"{text} is not an integer in 1..6")
+    return n
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """One subparser per command and per ``gen`` family, each declaring only
+    the options its function reads; a parsed command line names that
+    function ``run``.  Built once per process: a parse does not change it."""
+    parser = _Parser(prog="tscomplex",
+                     description="Total simplicial complexes: build, inspect, verify.")
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    def command(group, name, run, *, fmt=True, assert_help=None, **arguments):
+        """A subparser for ``run``: its positional ``arguments`` (name to
+        choices or ``None``) in order, then ``--format``, ``--assert`` and
+        ``--out``.  The caller adds any other option."""
+        sub = group.add_parser(name, help=run.__doc__, description=run.__doc__)
+        sub.set_defaults(run=run)
+        for dest, choices in arguments.items():
+            sub.add_argument(dest, choices=choices)
+        if fmt:
+            sub.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
+        if assert_help is not None:
+            sub.add_argument("--assert", dest="assert_verdict", action="store_true",
+                             help=assert_help)
+        sub.add_argument("--out", metavar="FILE", help="Output file (stdout otherwise).")
+        return sub
+
+    doc = "Write a labeled graph as canonical JSON."
+    families = commands.add_parser("gen", help=doc, description=doc).add_subparsers(
+        dest="command", required=True)
+    command(families, "friendship", gen_friendship_graph, fmt=False).add_argument(
+        "--n", type=int, required=True, help="Triangle count.")
+    command(families, "c42", gen_c42_graph, fmt=False)
+    sub = command(families, "edge-list", gen_edge_list, fmt=False)
+    sub.add_argument("-m", "--m", type=int, required=True, help="Vertex count.")
+    sub.add_argument("-e", "--edge", dest="edges", action="append", default=[],
+                     metavar="U,V", help="Edge 'u,v' (repeatable).")
+
+    command(commands, "tsc", tsc, fmt=False, graph_file=None)
+    command(commands, "fvector", fvector, complex_file=None)
+    command(commands, "homology", homology, complex_file=None).add_argument(
+        "--field", dest="field_str", metavar="FIELD", help="'q' or 'gf:<p>'.")
+    sub = command(commands, "check", check, assert_help="Exit 3 when the verdict is false.",
+                  kind=("cm", "buchsbaum", "cmt"), complex_file=None)
+    sub.add_argument("--t", type=int, help="Level for the cmt check.")
+    sub.add_argument("--field", dest="field_str", metavar="FIELD", help="'q' or 'gf:<p>'.")
+    command(commands, "covers", covers, assert_help="Exit 3 when the complex is not unmixed.",
+            complex_file=None)
+    command(commands, "decompose", decompose, complex_file=None)
+    command(commands, "verify-friendship", verify_friendship,
+            assert_help="Exit 3 when any cell fails.").add_argument(
+        "--n-max", type=_n_max, default=3, metavar="N", help="Largest n, in 1..6 (default 3).")
+    return parser
+
+
+def main(argv=None):
+    """Run one command line (``sys.argv[1:]`` by default).  Always ends in
+    ``SystemExit``: 0 success, 2 input error, 3 failed ``--assert``."""
+    args = vars(_parser().parse_args(argv))
+    run = args.pop("run")
+    del args["command"]
+    try:
+        run(**args)
+    except (ValueError, OSError) as exc:
+        _refuse(str(exc))
+    raise SystemExit(0)
+
+
+# perfbench's cli workload also runs commands through click.testing.CliRunner,
+# whose invoke(main, args) calls main.main(args=args, prog_name=main.name).
+main.name = "tscomplex"
+main.main = lambda args=(), prog_name=None: main(args)
 
 
 if __name__ == "__main__":

@@ -68,16 +68,31 @@ def test_gen_rejects_bad_params():
     (["edge-list", "-e", "1,2"], "-m"),
 ])
 def test_gen_takes_only_the_options_its_family_reads(args, option):
-    # each family is a subcommand that declares only the options it reads
-    assert f"'{option}'" in _assert_refused(run_cli("gen", *args))
+    # each family is a subcommand that declares only the options it reads:
+    # an option it does not declare is refused with what follows it, and an
+    # option it requires is named when it is missing
+    line = _assert_refused(run_cli("gen", *args))
+    if option in args:
+        assert line == "Error: unrecognized arguments: " + " ".join(args[args.index(option):])
+    else:
+        required = {"--n": "--n", "-m": "-m/--m"}[option]
+        assert line == f"Error: the following arguments are required: {required}"
 
 
 def test_bare_gen_shows_its_help_like_bare_tscomplex():
-    # click shows a bare group's help on stderr and exits 2
-    (bare_code, bare_out, _), (code, out, err) = run_cli(), run_cli("gen")
-    assert (code, out) == (bare_code, bare_out)
-    assert "Commands:" in err
-    assert all(name in err for name in ("friendship", "c42", "edge-list"))
+    # a bare command group is refused with its usage line, which names its
+    # subcommands
+    for args, names in (((), "{gen,tsc,fvector,homology,check,covers,decompose,"
+                                "verify-friendship}"),
+                        (("gen",), "{friendship,c42,edge-list}")):
+        result = run_cli(*args)
+        assert _assert_refused(result) == "Error: the following arguments are required: command"
+        assert names in result[2]
+
+
+def test_options_are_not_abbreviated():
+    line = _assert_refused(run_cli("fvector", "c42-fixture", "--form", "json"))
+    assert line == "Error: unrecognized arguments: --form json"
 
 
 def test_pipeline_gen_tsc_fvector(tmp_path):
@@ -257,11 +272,12 @@ def test_verify_friendship_n6_cover_census():
 
 
 def test_verify_friendship_rejects_bad_n_max():
-    assert "1<=x<=6" in _assert_answered(run_cli("verify-friendship", "--help"))
-    for bad in ("0", "7", "9"):
+    assert "Largest n, in 1..6 (default 3)." in _assert_answered(
+        run_cli("verify-friendship", "--help"))
+    for bad in ("0", "7", "9", "x", "-1"):
         result = run_cli("verify-friendship", "--n-max", bad)
         assert _assert_refused(result) == (
-            f"Error: Invalid value for '--n-max': {bad} is not in the range 1<=x<=6.")
+            f"Error: argument --n-max: {bad} is not an integer in 1..6")
 
 
 @pytest.mark.parametrize("command", ["covers", "decompose"])

@@ -1,7 +1,7 @@
 """What a fresh interpreter loads: ``import tscomplex`` loads no submodule,
-and a command loads only the modules it runs.  Each check runs in a child
-interpreter and asserts which modules are in ``sys.modules``; none times
-anything."""
+a command loads only the modules it runs, and none loads ``click``.  Each
+check runs in a child interpreter and asserts which modules are in
+``sys.modules``; none times anything."""
 
 import os
 import subprocess
@@ -47,10 +47,39 @@ def test_names_and_submodules_resolve_after_a_bare_import():
     )
 
 
+def run_command(*args: str) -> str:
+    """Code that runs ``tscomplex *args`` in this process to its ``SystemExit``."""
+    return ("from tscomplex import cli\n"
+            "try:\n"
+            f"    cli.main({list(args)!r})\n"
+            "except SystemExit:\n"
+            "    pass\n")
+
+
 def test_gen_loads_no_homology_cm_or_covers():
-    loaded = loaded_after("from tscomplex import cli\n"
-                          "cli.main(['gen', 'c42'], standalone_mode=False)")
+    loaded = loaded_after(run_command("gen", "c42"))
     assert loaded == {"tscomplex", "tscomplex.cli", "tscomplex.complexes", "tscomplex.graphs"}
+
+
+COMMANDS = [
+    ["gen", "c42"],
+    ["tsc", "GRAPH"],
+    ["fvector", "c42-fixture"],
+    ["homology", "c42-fixture"],
+    ["check", "cm", "c42-fixture"],
+    ["covers", "c42-fixture"],
+    ["decompose", "c42-fixture"],
+    ["verify-friendship", "--n-max", "1"],
+    ["homology", "c42-fixture", "--field", "gf:4"],  # refused: 4 is not prime
+]
+
+
+def test_no_command_loads_click(tmp_path):
+    graph = tmp_path / "g.json"
+    graph.write_text('{"edges": [[1, 2]], "m": 2}')
+    code = "".join(run_command(*[str(graph) if a == "GRAPH" else a for a in args])
+                   for args in COMMANDS)
+    assert run_fresh(code + "import sys\nprint('click' in sys.modules)").endswith("False\n")
 
 
 IMPORT_ALL = "".join(f"import tscomplex.{m}\n" for m in SUBMODULES + ("cli",))
