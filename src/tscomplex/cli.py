@@ -2,9 +2,10 @@
 
 Commands communicate through canonical JSON files so that every artifact is
 byte-reproducible and diffable.  Exit codes: 0 success, 2 input error,
-3 failed --assert check.  A command refuses input by raising ``ValueError``
-(or hitting an ``OSError`` on a file); every command turns either into one
-``Error:`` line and exit 2.
+3 failed --assert check.  The parser states every command-line rule.  A
+command returns its answer's text and verdict, or refuses input by raising
+``ValueError`` (or hitting an ``OSError`` on a file); ``main`` alone writes
+the answer, turns a refusal into one ``Error:`` line and picks the exit code.
 
 The bundled 73-facet reference complex is available to every command that
 takes a complex file by passing the literal name ``c42-fixture`` instead of
@@ -34,7 +35,9 @@ def _refuse(message: str):
 
 class _Parser(argparse.ArgumentParser):
     """A parser that takes no abbreviated option and refuses a bad command
-    line with its usage line and one ``Error:`` line."""
+    line with its usage line and one ``Error:`` line, including arguments it
+    did not read itself: argparse would hand a subparser's leftovers up to
+    the top-level parser, whose usage line names no subcommand."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
@@ -42,6 +45,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         _refuse(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
 
 
 def _emit(text: str, out: str | None):
@@ -85,86 +94,70 @@ def _render(payload: dict, text: str, fmt: str) -> str:
     return text + "\n"
 
 
-def gen_friendship_graph(n, out):
+def gen_friendship_graph(n):
     """Friendship graph: n triangles sharing one vertex."""
     from .graphs import gen_friendship, graph_dumps
 
-    _emit(graph_dumps(*gen_friendship(n)), out)
+    return graph_dumps(*gen_friendship(n)), True
 
 
-def gen_c42_graph(out):
+def gen_c42_graph():
     """Two 4-cycles sharing a path of length two."""
     from .graphs import gen_c42, graph_dumps
 
-    _emit(graph_dumps(*gen_c42()), out)
+    return graph_dumps(*gen_c42()), True
 
 
-def gen_edge_list(m, edges, out):
+def gen_edge_list(m, edges):
     """Any graph on vertices 1..m, with the default labeling."""
     from .graphs import Graph, default_labeling, graph_dumps
 
-    pairs = []
-    for text in edges:
-        u, _, v = text.partition(",")
-        try:
-            pairs.append((int(u), int(v)))
-        except ValueError:
-            raise ValueError(f"bad edge {text!r}; expected 'u,v'") from None
-    g = Graph(m, pairs)
-    _emit(graph_dumps(g, default_labeling(g)), out)
+    g = Graph(m, edges)
+    return graph_dumps(g, default_labeling(g)), True
 
 
-def tsc(graph_file, out):
+def tsc(graph_file):
     """Build the total simplicial complex of a labeled graph file."""
     from .tsc import build_tsc
 
-    _emit(complex_dumps(build_tsc(*_load_graph(graph_file))), out)
+    return complex_dumps(build_tsc(*_load_graph(graph_file))), True
 
 
-def fvector(complex_file, fmt, out):
+def fvector(complex_file, fmt):
     """Face counts per dimension."""
     cx = _load_complex(complex_file)
     alpha = cx.f_vector()
     payload = {"alpha": list(alpha), "dimension": cx.dimension(), "pure": cx.is_pure()}
-    _emit(_render(payload, str(tuple(alpha)), fmt), out)
+    return _render(payload, str(tuple(alpha)), fmt), True
 
 
-def homology(complex_file, field_str, fmt, out):
+def homology(complex_file, field_str, fmt):
     """Ranks and Betti numbers over a field."""
     from .homology import homology_summary
 
     field = _field(field_str)
     cx = _load_complex(complex_file)
     summary = homology_summary(cx, field)
-    text = (
-        f"field={summary.field} alpha={summary.alpha} rank_im={summary.rank_im} "
-        f"betti={summary.betti} reduced={summary.reduced_betti}"
-    )
-    _emit(_render(summary.to_json_dict(), text, fmt), out)
+    text = (f"field={summary.field} alpha={summary.alpha} rank_im={summary.rank_im} "
+            f"betti={summary.betti} reduced={summary.reduced_betti}")
+    return _render(summary.to_json_dict(), text, fmt), True
 
 
-def check(kind, complex_file, t, field_str, fmt, assert_verdict, out):
+def check(kind, complex_file, field_str, fmt, t=None):
     """Cohen-Macaulay / Buchsbaum / CM_t verdicts with failure witnesses."""
     from .cohen_macaulay import is_cm, is_cm_t
 
     field = _field(field_str)
-    if t is not None and kind != "cmt":
-        raise ValueError(f"--t applies only to check cmt, not to check {kind}")
-    if t is None and kind == "cmt":
-        raise ValueError("check cmt requires --t")
     cx = _load_complex(complex_file)
-    report = is_cm(cx, field) if kind == "cm" else is_cm_t(cx, 1 if t is None else t, field)
-    payload = report.to_json_dict()
+    report = is_cm(cx, field) if kind == "cm" else is_cm_t(cx, t, field)
     text = f"{kind}: verdict={report.verdict} purity_ok={report.purity_ok}"
     if report.witness is not None:
         w = report.witness
         text += f" witness(face={w.face}, r={w.r}, betti={w.betti})"
-    _emit(_render(payload, text, fmt), out)
-    if assert_verdict and not report.verdict:
-        raise SystemExit(3)
+    return _render(report.to_json_dict(), text, fmt), report.verdict
 
 
-def covers(complex_file, fmt, assert_verdict, out):
+def covers(complex_file, fmt):
     """Enumerate all minimal vertex covers."""
     from .covers import minimal_vertex_covers
 
@@ -173,19 +166,17 @@ def covers(complex_file, fmt, assert_verdict, out):
     lines = [f"unmixed={report.unmixed} count={len(report.covers)} "
              f"cardinalities={sorted(set(report.cardinalities))}"]
     lines += ["  {" + ", ".join(map(str, c)) + "}" for c in report.covers]
-    _emit(_render(report.to_json_dict(), "\n".join(lines), fmt), out)
-    if assert_verdict and not report.unmixed:
-        raise SystemExit(3)
+    return _render(report.to_json_dict(), "\n".join(lines), fmt), report.unmixed
 
 
-def decompose(complex_file, fmt, out):
+def decompose(complex_file, fmt):
     """Primary decomposition of the facet ideal (one prime per cover)."""
     from .covers import decomposition_to_json_dict, minimal_vertex_covers
 
     cx = _load_complex(complex_file)
     report = minimal_vertex_covers(cx)
     text = " ∩ ".join("(" + ", ".join(f"x{v}" for v in c) + ")" for c in report.covers)
-    _emit(_render(decomposition_to_json_dict(cx, report), text, fmt), out)
+    return _render(decomposition_to_json_dict(cx, report), text, fmt), True
 
 
 # --- friendship-family verification -------------------------------------------
@@ -263,70 +254,86 @@ def _row_text(row: dict) -> str:
     return " | ".join(parts)
 
 
-def verify_friendship(n_max, fmt, assert_verdict, out):
+def verify_friendship(n_max, fmt):
     """Recompute every friendship-family claim and report PASS/FAIL cells."""
     rows, all_pass = friendship_verification_rows(n_max)
     payload = {"rows": rows, "all_pass": all_pass}
-    _emit(_render(payload, "\n".join(_row_text(r) for r in rows), fmt), out)
-    if assert_verdict and not all_pass:
-        raise SystemExit(3)
+    return _render(payload, "\n".join(_row_text(r) for r in rows), fmt), all_pass
 
 
 def _n_max(text: str) -> int:
     """``--n-max``: an integer in 1..6."""
-    n = int(text) if text.isdigit() else 0
+    n = int(text) if text.isdecimal() else 0
     if not 1 <= n <= 6:
         raise argparse.ArgumentTypeError(f"{text} is not an integer in 1..6")
     return n
 
 
+def _edge(text: str) -> tuple[int, int]:
+    """``-e``: an edge ``u,v`` of two integers."""
+    u, _, v = text.partition(",")
+    try:
+        return int(u), int(v)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad edge {text!r}; expected 'u,v'") from None
+
+
 @functools.cache
 def _parser() -> _Parser:
-    """One subparser per command and per ``gen`` family, each declaring only
-    the options its function reads; a parsed command line names that
-    function ``run``.  Built once per process: a parse does not change it."""
+    """One subparser per command, ``gen`` family and ``check`` kind, each
+    declaring only the options its function reads; a parsed command line
+    names that function ``run``.  Built once per process: a parse does not change it."""
     parser = _Parser(prog="tscomplex",
                      description="Total simplicial complexes: build, inspect, verify.")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def command(group, name, run, *, fmt=True, assert_help=None, **arguments):
-        """A subparser for ``run``: its positional ``arguments`` (name to
-        choices or ``None``) in order, then ``--format``, ``--assert`` and
-        ``--out``.  The caller adds any other option."""
-        sub = group.add_parser(name, help=run.__doc__, description=run.__doc__)
+    def group(name, doc, dest):
+        """A command whose subcommands, one per kind of its job, set ``dest``."""
+        return commands.add_parser(name, help=doc, description=doc).add_subparsers(
+            dest=dest, required=True)
+
+    def command(parent, name, run, *positional, doc=None, fmt=True, field=False,
+                assert_help=None):
+        """A subparser for ``run``, described by ``doc`` or ``run``'s docstring:
+        its ``positional`` arguments in order, then ``--format``, ``--assert``,
+        ``--out`` and ``--field`` as asked.  The caller adds any other option."""
+        doc = doc or run.__doc__
+        sub = parent.add_parser(name, help=doc, description=doc)
         sub.set_defaults(run=run)
-        for dest, choices in arguments.items():
-            sub.add_argument(dest, choices=choices)
+        for dest in positional:
+            sub.add_argument(dest)
         if fmt:
             sub.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
         if assert_help is not None:
             sub.add_argument("--assert", dest="assert_verdict", action="store_true",
                              help=assert_help)
         sub.add_argument("--out", metavar="FILE", help="Output file (stdout otherwise).")
+        if field:
+            sub.add_argument("--field", dest="field_str", metavar="FIELD", help="'q' or 'gf:<p>'.")
         return sub
 
-    doc = "Write a labeled graph as canonical JSON."
-    families = commands.add_parser("gen", help=doc, description=doc).add_subparsers(
-        dest="command", required=True)
+    families = group("gen", "Write a labeled graph as canonical JSON.", "command")
     command(families, "friendship", gen_friendship_graph, fmt=False).add_argument(
         "--n", type=int, required=True, help="Triangle count.")
     command(families, "c42", gen_c42_graph, fmt=False)
     sub = command(families, "edge-list", gen_edge_list, fmt=False)
     sub.add_argument("-m", "--m", type=int, required=True, help="Vertex count.")
-    sub.add_argument("-e", "--edge", dest="edges", action="append", default=[],
+    sub.add_argument("-e", "--edge", dest="edges", type=_edge, action="append", default=[],
                      metavar="U,V", help="Edge 'u,v' (repeatable).")
 
-    command(commands, "tsc", tsc, fmt=False, graph_file=None)
-    command(commands, "fvector", fvector, complex_file=None)
-    command(commands, "homology", homology, complex_file=None).add_argument(
-        "--field", dest="field_str", metavar="FIELD", help="'q' or 'gf:<p>'.")
-    sub = command(commands, "check", check, assert_help="Exit 3 when the verdict is false.",
-                  kind=("cm", "buchsbaum", "cmt"), complex_file=None)
-    sub.add_argument("--t", type=int, help="Level for the cmt check.")
-    sub.add_argument("--field", dest="field_str", metavar="FIELD", help="'q' or 'gf:<p>'.")
-    command(commands, "covers", covers, assert_help="Exit 3 when the complex is not unmixed.",
-            complex_file=None)
-    command(commands, "decompose", decompose, complex_file=None)
+    command(commands, "tsc", tsc, "graph_file", fmt=False)
+    command(commands, "fvector", fvector, "complex_file")
+    command(commands, "homology", homology, "complex_file", field=True)
+    kinds = group("check", check.__doc__, "kind")
+    _, buchsbaum, cmt = (
+        command(kinds, kind, check, "complex_file", doc=f"{name} verdict; a witness when false.",
+                field=True, assert_help="Exit 3 when the verdict is false.")
+        for kind, name in (("cm", "Cohen-Macaulay"), ("buchsbaum", "Buchsbaum"), ("cmt", "CM_t")))
+    buchsbaum.set_defaults(t=1)
+    cmt.add_argument("--t", type=int, required=True, help="Level of the CM_t check.")
+    command(commands, "covers", covers, "complex_file",
+            assert_help="Exit 3 when the complex is not unmixed.")
+    command(commands, "decompose", decompose, "complex_file")
     command(commands, "verify-friendship", verify_friendship,
             assert_help="Exit 3 when any cell fails.").add_argument(
         "--n-max", type=_n_max, default=3, metavar="N", help="Largest n, in 1..6 (default 3).")
@@ -337,13 +344,15 @@ def main(argv=None):
     """Run one command line (``sys.argv[1:]`` by default).  Always ends in
     ``SystemExit``: 0 success, 2 input error, 3 failed ``--assert``."""
     args = vars(_parser().parse_args(argv))
-    run = args.pop("run")
+    run, out = args.pop("run"), args.pop("out")
+    assert_verdict = args.pop("assert_verdict", False)
     del args["command"]
     try:
-        run(**args)
+        text, ok = run(**args)
+        _emit(text, out)
     except (ValueError, OSError) as exc:
         _refuse(str(exc))
-    raise SystemExit(0)
+    raise SystemExit(3 if assert_verdict and not ok else 0)
 
 
 # perfbench's cli workload also runs commands through click.testing.CliRunner,

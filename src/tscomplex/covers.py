@@ -43,7 +43,7 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple
 
-from .complexes import Face, SimplicialComplex
+from .complexes import Face, SimplicialComplex, json_int
 
 #: The most minimal covers, or minimal non-faces, one call returns.  A call
 #: that finds more is refused with a ``ValueError`` as soon as it does: the
@@ -230,7 +230,7 @@ def friendship_cover_count(n: int) -> int:
     full 2-skeleton on six vertices, so the minimal covers are the
     complements of the 2-subsets), hence that case is rejected outright.
     """
-    if n < 2:
+    if json_int(n, "n") < 2:
         raise ValueError(
             f"closed-form cover count needs n >= 2 (got {n}); at n = 1 the formula "
             "disagrees with enumeration, which is authoritative"

@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple
 
-from .complexes import SimplicialComplex, canonical_json, json_int, parse_json
+from .complexes import _component_count, canonical_json, json_int, parse_json
 
 #: The most vertices a :class:`Graph` may have.  The constructor refuses a
 #: larger ``m`` before it reads an edge, so library calls, graph JSON and
@@ -135,7 +135,7 @@ def gen_friendship(n: int) -> tuple[Graph, TotalLabeling]:
     k-th triangle the outer vertices get 3k-2 and 3k, the outer edge 3k-1,
     the two center edges 3n+2k-1 and 3n+2k; the center vertex gets 5n+1.
     """
-    if n < 1:
+    if json_int(n, "n") < 1:
         raise ValueError(f"friendship graph needs n >= 1 triangles, got {n}")
     center = 2 * n + 1
     # The edges are a generator, so Graph refuses an oversized n before any are made.
@@ -204,8 +204,7 @@ def total_graph(g: Graph, labeling: TotalLabeling) -> Graph:
 
 def is_connected(g: Graph) -> bool:
     """True iff every two vertices are joined by a path of edges."""
-    vertices = [(v,) for v in range(1, g.m + 1)]
-    return SimplicialComplex([*g.edges, *vertices]).is_facet_connected()
+    return _component_count(range(1, g.m + 1), g.edges) <= 1
 
 
 # --- JSON interchange ------------------------------------------------------

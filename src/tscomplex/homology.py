@@ -183,7 +183,7 @@ def boundary_matrix(cx: SimplicialComplex, r: int) -> BoundaryMatrix:
 
     Each position's getter is mapped over all the columns; by the order in
     :func:`_face_drops`, each row receives its columns in ascending order."""
-    if not 1 <= r <= cx.dimension():
+    if not 1 <= json_int(r, "r") <= cx.dimension():
         raise ValueError(f"boundary dimension {r} out of range 1..{cx.dimension()}")
     rows = tuple(cx.faces(r - 1))
     cols = tuple(cx.faces(r))

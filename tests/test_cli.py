@@ -95,6 +95,24 @@ def test_options_are_not_abbreviated():
     assert line == "Error: unrecognized arguments: --form json"
 
 
+@pytest.mark.parametrize("args, usage", [
+    (["gen", "c42", "--n", "3"], "gen c42"),
+    (["fvector", "c42-fixture", "--form", "json"], "fvector"),
+    (["homology", "c42-fixture", "extra"], "homology"),
+    (["check", "cm", "c42-fixture", "--t", "2"], "check cm"),
+    (["check", "cmt", "c42-fixture"], "check cmt"),
+    (["gen", "edge-list", "-m", "3", "-e", "1-2"], "gen edge-list"),
+    # a subcommand's options follow its name
+    (["check", "--format", "json", "cm", "c42-fixture"], "check"),
+])
+def test_a_bad_command_line_shows_the_usage_of_the_subcommand_given_it(args, usage):
+    # the subcommand that was given the bad argument refuses it, not the
+    # top-level parser, whose usage line names no subcommand
+    result = run_cli(*args)
+    _assert_refused(result)
+    assert result[2].splitlines()[0].startswith(f"usage: tscomplex {usage} "), result
+
+
 def test_pipeline_gen_tsc_fvector(tmp_path):
     gpath, cpath = tmp_path / "g.json", tmp_path / "c.json"
     assert run_cli("gen", "friendship", "--n", "1", "--out", str(gpath)) == (0, "", "")
@@ -187,6 +205,14 @@ def test_check_cm_assert_exits_3_on_failure(tmp_path):
     assert data["verdict"] is False and data["witness"]["face"] == [3]
 
 
+def test_check_cm_assert_writes_the_answer_to_out_then_exits_3(tmp_path):
+    cpath, out = tmp_path / "bad.json", tmp_path / "verdict.json"
+    cpath.write_text('{"n": 5, "facets": [[1, 2, 3], [3, 4, 5]]}')
+    assert run_cli("check", "cm", str(cpath), "--assert", "--format", "json",
+                   "--out", str(out)) == (3, "", "")
+    assert json.loads(out.read_text())["verdict"] is False
+
+
 def test_check_buchsbaum_and_cmt(tmp_path):
     cpath = tmp_path / "two.json"
     cpath.write_text('{"n": 6, "facets": [[1, 2, 3], [4, 5, 6]]}')
@@ -195,13 +221,13 @@ def test_check_buchsbaum_and_cmt(tmp_path):
     _assert_refused(run_cli("check", "cmt", str(cpath)))  # missing --t
     # the missing --t is refused before the file is read
     result = run_cli("check", "cmt", str(tmp_path / "missing.json"))
-    assert _assert_refused(result) == "Error: check cmt requires --t"
+    assert _assert_refused(result) == "Error: the following arguments are required: --t"
 
 
 @pytest.mark.parametrize("kind", ["cm", "buchsbaum"])
 def test_check_refuses_t_outside_cmt(kind):
     result = run_cli("check", kind, "c42-fixture", "--t", "3")
-    assert _assert_refused(result) == f"Error: --t applies only to check cmt, not to check {kind}"
+    assert _assert_refused(result) == "Error: unrecognized arguments: --t 3"
 
 
 def test_covers_assert_flags_mixed_fixture():
@@ -274,7 +300,7 @@ def test_verify_friendship_n6_cover_census():
 def test_verify_friendship_rejects_bad_n_max():
     assert "Largest n, in 1..6 (default 3)." in _assert_answered(
         run_cli("verify-friendship", "--help"))
-    for bad in ("0", "7", "9", "x", "-1"):
+    for bad in ("0", "7", "9", "x", "-1", "²"):
         result = run_cli("verify-friendship", "--n-max", bad)
         assert _assert_refused(result) == (
             f"Error: argument --n-max: {bad} is not an integer in 1..6")

@@ -4,7 +4,15 @@ import tracemalloc
 import pytest
 
 import tscomplex.complexes
-from tscomplex import Graph, SimplicialComplex, complex_dumps, complex_loads
+from tscomplex import (
+    Graph,
+    SimplicialComplex,
+    boundary_matrix,
+    complex_dumps,
+    complex_loads,
+    friendship_cover_count,
+    gen_friendship,
+)
 from tscomplex.complexes import MAX_FACET_SIZE
 from conftest import all_labeled_graphs, random_complexes, tsc_of
 from oracles import brute_force_antichain, brute_force_faces, faces_by_dim, facet_component_count
@@ -262,6 +270,18 @@ def test_non_integer_vertices_are_refused(face):
     cx = SimplicialComplex([(1, 2)])
     with pytest.raises(ValueError, match="must be an integer"):
         cx.link(face[:1])
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, True])
+@pytest.mark.parametrize("call", [
+    lambda n: boundary_matrix(SimplicialComplex([(1, 2, 3)]), n),
+    gen_friendship,
+    friendship_cover_count,
+], ids=["boundary_matrix", "gen_friendship", "friendship_cover_count"])
+def test_integer_arguments_refuse_floats_and_bools(call, value):
+    # 2.0 and True compare equal to integers the calls accept
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(value)
 
 
 @pytest.mark.parametrize("text", [
